@@ -164,6 +164,20 @@ def _cmd_inner_product(args):
     return 0
 
 
+# config-file spellings accepted for ExperimentConfig fields
+_ALIASES = {"cc": "cc_enabled", "direction": "shift_direction"}
+# list-valued sweep axes per sweep kind, each with the ExperimentConfig field
+# that validates its entries; every other config key must be such a field
+_AXES = {
+    "accuracy": {"designs": "design", "lanes": "lanes", "capacities": "carry_len"},
+    "fault": {"p_flips": "p_flip"},
+    "canceler": {"lanes": "lanes"},
+}
+_CANCELER_FIELDS = {"trials", "seed", "cc_enabled"}
+_CANCELER_LANES = [1, 2, 4, 8, 16, 32, 64]
+_P_FLIPS = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]
+
+
 def _load_sweep_config(args):
     data = {}
     if args.config:
@@ -173,6 +187,11 @@ def _load_sweep_config(args):
             raise UsageError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("config file must hold a JSON object")
+    for alias, name in _ALIASES.items():
+        if alias in data:
+            data.setdefault(name, data.pop(alias))
     return data
 
 
@@ -181,72 +200,69 @@ def _override(data, key, value):
         data[key] = value
 
 
+def _pop_axes(data, kind):
+    """Remove and type-check the list-valued sweep axes of ``data``.
+
+    An accuracy sweep's ``lanes`` is an axis when it is a list and the
+    config field otherwise.
+    """
+    axes = {}
+    for key, field in _AXES[kind].items():
+        if key not in data or (kind == "accuracy" and not isinstance(data[key], list)):
+            continue
+        values = data.pop(key)
+        if not isinstance(values, list):
+            raise UsageError(f"{key} must be a list")
+        for value in values:
+            ExperimentConfig.from_dict({field: value})
+        axes[key] = values
+    return axes
+
+
 def _cmd_sweep(args):
     data = _load_sweep_config(args)
     _override(data, "seed", args.seed)
     _override(data, "trials", args.trials)
-    _override(data, "jobs", args.jobs)
     data["seed"] = _default_seed(data.get("seed"))
     out_path = Path(args.out)
     meta_path = out_path.with_suffix(".meta.json")
+    axes = _pop_axes(data, args.kind)
+    if args.lanes is not None:
+        axes["lanes"] = [args.lanes]
+        if args.kind != "canceler":
+            data["lanes"] = args.lanes
+    _override(data, "cc_enabled", None if args.cc is None else args.cc == "on")
 
     if args.kind == "canceler":
-        lanes = data.get("lanes", [1, 2, 4, 8, 16, 32, 64])
-        if args.lanes is not None:
-            lanes = [args.lanes]
-        cc = data.get("cc_enabled", data.get("cc", True))
-        if args.cc is not None:
-            cc = args.cc == "on"
+        unknown = set(data) - _CANCELER_FIELDS
+        if unknown:
+            raise UsageError(f"unknown config fields: {sorted(unknown)}")
+        cfg = ExperimentConfig.from_dict({"trials": 20000, **data})
         result = run_canceler_experiment(
-            lanes, data.get("trials", 20000), data["seed"], cc_enabled=cc
+            axes.get("lanes", _CANCELER_LANES),
+            cfg.trials,
+            cfg.seed,
+            cc_enabled=cfg.cc_enabled,
         )
     else:
-        lanes_value = data.get("lanes", 16)
-        if isinstance(lanes_value, list):
-            lanes_value = 16  # grid lists are consumed below, not by the config
-        cfg_fields = {
-            "design": data.get("design", "novel"),
-            "lanes": lanes_value,
-            "carry_len": data.get("carry_len", 6),
-            "counter_width": data.get("counter_width", 4),
-            "stream_len": data.get("stream_len", 10_000),
-            "trials": data.get("trials", 200),
-            "seed": data["seed"],
-            "input_scale": data.get("input_scale", 0.9),
-            "metric": data.get("metric", "standard_rmse"),
-            "cc_enabled": data.get("cc_enabled", data.get("cc", True)),
-            "shift_direction": data.get("shift_direction", data.get("direction", "opposite")),
-            "jobs": data.get("jobs", 1),
-        }
-        _override(cfg_fields, "design", args.design)
-        _override(cfg_fields, "carry_len", args.carry_len)
-        _override(cfg_fields, "counter_width", args.counter_bits)
-        _override(cfg_fields, "stream_len", args.len)
-        if args.lanes is not None:
-            cfg_fields["lanes"] = args.lanes
-        if args.cc is not None:
-            cfg_fields["cc_enabled"] = args.cc == "on"
-        if args.direction is not None:
-            cfg_fields["shift_direction"] = args.direction
+        _override(data, "jobs", args.jobs)
+        _override(data, "design", args.design)
+        _override(data, "carry_len", args.carry_len)
+        _override(data, "counter_width", args.counter_bits)
+        _override(data, "stream_len", args.len)
+        _override(data, "shift_direction", args.direction)
         if args.metric is not None:
-            cfg_fields["metric"] = (
-                "paper_literal" if args.metric == "paper" else "standard_rmse"
-            )
-        cfg = ExperimentConfig(**cfg_fields)
+            data["metric"] = "paper_literal" if args.metric == "paper" else "standard_rmse"
+        cfg = ExperimentConfig.from_dict(data)
         if args.kind == "accuracy":
-            designs = data.get("designs", [cfg.design])
-            lanes_values = data.get("lanes", [cfg.lanes])
-            if not isinstance(lanes_values, list):
-                lanes_values = [lanes_values]
-            if args.lanes is not None:
-                lanes_values = [args.lanes]
-            capacities = data.get("capacities")
-            if capacities is None:
-                capacities = [cfg.capacity]
-            result = run_accuracy_sweep(designs, lanes_values, capacities, cfg)
-        else:  # fault
-            p_flips = data.get("p_flips", [0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
-            result = run_fault_sweep(p_flips, cfg)
+            result = run_accuracy_sweep(
+                axes.get("designs", [cfg.design]),
+                axes.get("lanes", [cfg.lanes]),
+                axes.get("capacities", [cfg.capacity]),
+                cfg,
+            )
+        else:
+            result = run_fault_sweep(axes.get("p_flips", _P_FLIPS), cfg)
 
     try:
         result.write_csv(out_path)

@@ -23,6 +23,8 @@ trials are chunked across workers.
 import csv
 import json
 import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -105,6 +107,17 @@ MODEL_NOTES = {
 }
 
 
+def _has_type(value, kind):
+    """JSON-style type check: booleans are not numbers, integers are floats."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, kind)
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment operating point plus harness knobs."""
@@ -124,6 +137,10 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ValueError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
         if self.design not in _DESIGN_CODES:
             raise ValueError(f"unknown design {self.design!r}")
         if self.lanes < 1 or self.carry_len < 1 or self.counter_width < 1:
@@ -287,17 +304,26 @@ def _simulate_trials(payload):
     return estimates, truths, overflow, cc
 
 
+def _usable_cpus():
+    """CPUs this process may run on: the ceiling on worker processes."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_point(cfg):
     """Run all trials of one operating point.
 
     Returns (estimates, truths, overflow_events, cc_cancellations), each a
-    per-trial array ordered by trial index regardless of ``jobs``.
+    per-trial array ordered by trial index regardless of ``jobs``. Trials
+    run in at most min(jobs, trials, usable CPUs) processes.
     """
     if cfg.design == "baseline" and (cfg.lanes < 2 or cfg.lanes & (cfg.lanes - 1)):
         raise ValueError("baseline sweeps need a power-of-two lane count >= 2")
     point = _point_sequence(cfg.seed, cfg.design, cfg.lanes, cfg.capacity, cfg.stream_len)
     trial_sequences = point.spawn(cfg.trials)
-    chunks = max(1, min(cfg.jobs, cfg.trials))
+    chunks = max(1, min(cfg.jobs, cfg.trials, _usable_cpus()))
     bounds = np.linspace(0, cfg.trials, chunks + 1, dtype=int)
     payloads = [
         (

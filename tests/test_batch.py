@@ -1,9 +1,13 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scbit import EngineConfig, RandomSource, run_inner_product, run_tree_inner_product
+from scbit import batch
 from scbit.batch import (
     canceler_batch,
     draw_fault_schedule,
@@ -126,6 +130,103 @@ def test_engine_batch_conservation_flag():
     products = rng.integers(-1, 2, size=(8, 4, 100)).astype(np.int8)
     engine_batch(products, 32, check_conservation=True)
     engine_batch(products, 32, cc_enabled=False, check_conservation=True)
+
+
+@given(
+    lanes=st.integers(1, 64),
+    carry_len=st.integers(1, 10),
+    stream_len=st.integers(1, 40),
+    direction=st.sampled_from(("opposite", "same")),
+    cc_enabled=st.booleans(),
+    p_flip=st.floats(0.0, 0.2),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    chunk=st.sampled_from((1, 64, 1 << 16)),
+    check=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_batch_matches_scalar_property(
+    lanes, carry_len, stream_len, direction, cc_enabled, p_flip, seeds, chunk, check
+):
+    # M in [1, 10] spans both carry steppers (table while 2M <= 16);
+    # ``chunk`` sets how many cycles share one delivery pass
+    config = EngineConfig(
+        lanes, carry_len, stream_len, cc_enabled=cc_enabled, shift_direction=direction
+    )
+    products, schedules, scalar = [], [], []
+    for seed in seeds:
+        inputs = np.random.default_rng(seed)
+        x = inputs.uniform(-1, 1, lanes)
+        y = inputs.uniform(-1, 1, lanes)
+        schedule = draw_fault_schedule(
+            RandomSource(seed + 1), 2 * carry_len, stream_len, p_flip
+        )
+        scalar.append(
+            run_inner_product(x, y, config, RandomSource(seed), fault_schedule=zip(*schedule))
+        )
+        products.append(encode_tlb_products(x, y, stream_len, RandomSource(seed)))
+        schedules.append(schedule)
+    with mock.patch.object(batch, "_CHUNK_ELEMENTS", chunk):
+        out = engine_batch(
+            np.stack(products),
+            carry_len,
+            cc_enabled=cc_enabled,
+            shift_direction=direction,
+            fault_schedules=merge_fault_schedules(schedules),
+            check_conservation=check,
+        )
+    for t, (stream, diag) in enumerate(scalar):
+        assert np.array_equal(out["emitted_pos"][t], stream.pos.bits)
+        assert np.array_equal(out["emitted_neg"][t], stream.neg.bits)
+        assert out["dropped_pos"][t] == diag.dropped_pos
+        assert out["dropped_neg"][t] == diag.dropped_neg
+        assert out["cc_cancellations"][t] == diag.cc_cancellations
+        assert out["residual_pos"][t] == diag.residual_pos
+        assert out["residual_neg"][t] == diag.residual_neg
+
+
+@given(
+    carry_len=st.integers(1, 8),
+    lanes=st.integers(1, 8),
+    p_flip=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_table_and_bit_array_steppers_agree(carry_len, lanes, p_flip, seed):
+    rng = np.random.default_rng(seed)
+    trials, stream_len = 4, 50
+    products = rng.integers(-1, 2, size=(trials, lanes, stream_len)).astype(np.int8)
+    faults = merge_fault_schedules(
+        [
+            draw_fault_schedule(src, 2 * carry_len, stream_len, p_flip)
+            for src in RandomSource(seed).spawn(trials)
+        ]
+    )
+    table = engine_batch(products, carry_len, fault_schedules=faults, check_conservation=True)
+    with mock.patch.object(batch, "_TABLE_MAX_BITS", 0):
+        bits = engine_batch(products, carry_len, fault_schedules=faults, check_conservation=True)
+    for key in table:
+        assert np.array_equal(table[key], bits[key]), key
+
+
+def test_engine_ledger_catches_lost_units(monkeypatch):
+    # a stepper whose emissions stop reporting their bits loses units
+    m = 3
+    step, stored = batch._carry_table(m)
+    broken = step.copy()
+    emission = slice(3 << (2 * m + 2), 4 << (2 * m + 2))
+    broken[emission] &= (1 << 2 * m) - 1
+    monkeypatch.setattr(batch, "_carry_table", lambda _: (broken, stored))
+    products = np.ones((2, 2, 20), dtype=np.int8)
+    with pytest.raises(RuntimeError, match="at end of run"):
+        engine_batch(products, m)
+    with pytest.raises(RuntimeError, match="at emit 0"):
+        engine_batch(products, m, check_conservation=True)
+
+
+def test_engine_batch_rejects_bad_fault_cells():
+    faults = (np.array([0]), np.array([0]), np.array([4]))
+    with pytest.raises(ValueError):
+        engine_batch(np.zeros((1, 2, 3), np.int8), 2, fault_schedules=faults)
 
 
 # -- tree batch vs scalar reference ------------------------------------------

@@ -243,3 +243,30 @@ def test_sweep_unwritable_output_io_error(tmp_path, capsys):
         "--out", "/nonexistent-dir/out.csv",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "kind, config, needle",
+    [
+        ("fault", {"lanes": "16"}, "lanes"),
+        ("accuracy", {"lanes": "16"}, "lanes"),
+        ("accuracy", {"capacities": [2, "4"]}, "carry_len"),
+        ("fault", {"p_flips": 0.1}, "p_flips"),
+        ("fault", {"p_flips": [0.0, 1.5]}, "p_flip"),
+        ("fault", [{"lanes": 16}], "JSON object"),
+        ("accuracy", {"stream_length": 300}, "stream_length"),
+        ("fault", {"designs": ["novel"]}, "designs"),
+        ("canceler", {"lanes": [1, 2], "stream_len": 10}, "stream_len"),
+        ("canceler", {"lanes": 4}, "lanes"),
+        ("canceler", {"lanes": [1], "trials": "20"}, "trials"),
+    ],
+)
+def test_sweep_config_errors_exit_2_on_one_line(tmp_path, capsys, kind, config, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(capsys, "sweep", kind, "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+    assert not out.exists()

@@ -70,6 +70,9 @@ def test_config_validation():
         ExperimentConfig(carry_len=0)  # zero-length carry storage disallowed
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"design": "novel", "bogus": 1})
+    for wrong_type in ({"lanes": "16"}, {"trials": 2.0}, {"cc_enabled": 1}, {"p_flip": True}):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(wrong_type)
 
 
 def test_config_json_round_trip():
@@ -108,6 +111,37 @@ def test_run_point_jobs_invariant():
     serial = run_point(cfg)
     parallel = run_point(cfg.replace(jobs=3))
     for x, y in zip(serial, parallel):
+        assert np.array_equal(x, y)
+
+
+def test_run_point_workers_capped_by_usable_cpus(monkeypatch):
+    import scbit.experiments as experiments
+
+    sizes = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = ExperimentConfig(**SMALL)
+    capped = run_point(cfg.replace(jobs=16))
+    assert sizes == [2]
+    serial = run_point(cfg)
+    assert sizes == [2]  # one job runs in this process
+    for x, y in zip(serial, capped):
         assert np.array_equal(x, y)
 
 
