@@ -12,7 +12,8 @@ import functools
 
 import numpy as np
 
-from .streams import encode_sm, encode_tlb, ternary_values
+# ternary_values is unused here, but perfbench/tracer.py wraps it by this name
+from .streams import encode_sm, encode_tlb, ternary_values  # noqa: F401
 
 __all__ = [
     "encode_tlb_products",
@@ -25,6 +26,20 @@ __all__ = [
 ]
 
 
+def _lane_streams(encode, x, y, stream_len, rng):
+    """One ``encode`` call per lane on its own child source, x lanes first."""
+    if len(x) != len(y):
+        raise ValueError("x and y must have the same number of lanes")
+    sources = rng.spawn(2 * len(x))
+    values = [float(v) for v in x] + [float(v) for v in y]
+    return [encode(v, stream_len, src) for v, src in zip(values, sources)]
+
+
+def _stack(lines, stream_len):
+    """(lanes, stream_len) uint8 array of bit vectors; (0, stream_len) if none."""
+    return np.array(lines, dtype=np.uint8).reshape(-1, stream_len)
+
+
 def encode_tlb_products(x, y, stream_len, rng):
     """Per-lane ternary product streams for the sequential engine.
 
@@ -33,30 +48,22 @@ def encode_tlb_products(x, y, stream_len, rng):
     source see identical bits.
     """
     k = len(x)
-    sources = rng.spawn(2 * k)
-    prods = np.zeros((k, stream_len), dtype=np.int8)
-    x_terns = [
-        ternary_values(encode_tlb(float(x[i]), stream_len, sources[i]))
-        for i in range(k)
-    ]
-    for i in range(k):
-        y_tern = ternary_values(encode_tlb(float(y[i]), stream_len, sources[k + i]))
-        prods[i] = x_terns[i] * y_tern
-    return prods
+    streams = _lane_streams(encode_tlb, x, y, stream_len, rng)
+    pos = _stack([s.pos.bits for s in streams], stream_len).view(np.int8)
+    neg = _stack([s.neg.bits for s in streams], stream_len).view(np.int8)
+    terns = pos - neg
+    return terns[:k] * terns[k:]
 
 
 def encode_sm_products(x, y, stream_len, rng):
     """Per-lane ternary product streams for the adder-tree design."""
     k = len(x)
-    sources = rng.spawn(2 * k)
-    prods = np.zeros((k, stream_len), dtype=np.int8)
-    xs = [encode_sm(float(x[i]), stream_len, sources[i]) for i in range(k)]
-    for i in range(k):
-        ys = encode_sm(float(y[i]), stream_len, sources[k + i])
-        sign = xs[i].sign.bits ^ ys.sign.bits
-        mag = xs[i].magnitude.bits & ys.magnitude.bits
-        prods[i] = (1 - 2 * sign.astype(np.int8)) * mag.astype(np.int8)
-    return prods
+    streams = _lane_streams(encode_sm, x, y, stream_len, rng)
+    sign = _stack([s.sign.bits for s in streams], stream_len)
+    mag = _stack([s.magnitude.bits for s in streams], stream_len)
+    prod_sign = (sign[:k] ^ sign[k:]).view(np.int8)
+    prod_mag = (mag[:k] & mag[k:]).view(np.int8)
+    return (1 - 2 * prod_sign) * prod_mag
 
 
 def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
@@ -293,6 +300,13 @@ def _unbalanced(where, trial, lhs, rhs):
     return RuntimeError(f"conservation violated at {where} (trial {trial}): {lhs} != {rhs}")
 
 
+def _check_ledger(loaded, ledger):
+    """Raise if a trial's signed units at the end of a run differ from those loaded."""
+    if not np.array_equal(loaded, ledger):
+        bad = int(np.argmax(loaded != ledger))
+        raise _unbalanced("end of run", bad, loaded[bad], ledger[bad])
+
+
 def _check_steps(deliveries, loaded, flags, stored, faulted, totals, first_cycle):
     """Conservation of signed units after every step and emission of a chunk.
 
@@ -418,10 +432,9 @@ def engine_batch(
         faulted += faulted_c.sum(axis=0)
 
     residual_pos, residual_neg = carry.residuals()
-    ledger = emitted + residual_pos - residual_neg + dropped_pos - dropped_neg - faulted
-    if not np.array_equal(loaded, ledger):
-        bad = int(np.argmax(loaded != ledger))
-        raise _unbalanced("end of run", bad, loaded[bad], ledger[bad])
+    _check_ledger(
+        loaded, emitted + residual_pos - residual_neg + dropped_pos - dropped_neg - faulted
+    )
 
     return {
         "emitted_pos": emitted_p,
@@ -434,12 +447,26 @@ def engine_batch(
     }
 
 
+def _clamp(pending, c_max, out):
+    """Store the pending node carries saturated at +-c_max in ``out``.
+
+    Returns the signed units the saturation removed from each node.
+    """
+    np.clip(pending, -c_max, c_max, out=out)
+    return pending - out
+
+
 def tree_batch(products, counter_width, fault_schedules=None):
     """Run the counter-based adder tree over a batch of trials.
 
     ``products``: (trials, lanes, cycles) int8, lanes a power of two.
     Node storage is a flat (trials, lanes-1) counter array in level-major
-    order, matching ``AdderTree.nodes``.
+    order, matching ``AdderTree.nodes``; fault cell ``node * width + bit``
+    is bit ``bit`` of node ``node``.
+
+    Every run ends with a per-trial ledger of signed units, loaded =
+    emitted + residual_sum + units removed by the +-c_max clamp - (stored
+    change caused by faults), and raises RuntimeError on a mismatch.
     """
     products = np.asarray(products, dtype=np.int8)
     n_trials, lanes, n_cycles = products.shape
@@ -449,6 +476,7 @@ def tree_batch(products, counter_width, fault_schedules=None):
     c_max = 2 ** (width - 1) - 1
     wrap = 1 << width
     half = 1 << (width - 1)
+    nodes = lanes - 1
 
     level_slices = []
     start, size = 0, lanes // 2
@@ -457,12 +485,17 @@ def tree_batch(products, counter_width, fault_schedules=None):
         start += size
         size //= 2
 
-    counters = np.zeros((n_trials, lanes - 1), dtype=np.int16)
+    counters = np.zeros((n_trials, nodes), dtype=np.int16)
+    pending = np.empty_like(counters)
     emitted = np.zeros((n_trials, n_cycles), dtype=np.int8)
     saturations = np.zeros(n_trials, dtype=np.int64)
+    removed = np.zeros(n_trials, dtype=np.int64)
+    faulted = np.zeros(n_trials, dtype=np.int64)
 
     if fault_schedules is not None:
         f_trials, f_cycles, f_bits = fault_schedules
+        if len(f_bits) and (f_bits.min() < 0 or f_bits.max() >= nodes * width):
+            raise ValueError(f"fault cells must lie in [0, {nodes * width})")
         starts = np.searchsorted(f_cycles, np.arange(n_cycles + 1))
     else:
         starts = None
@@ -476,34 +509,39 @@ def tree_batch(products, counter_width, fault_schedules=None):
                 pos = f_bits[lo:hi] % width
                 # several flips may hit one counter in a cycle: combine the
                 # XOR masks per (trial, node) before sign-extending once
-                lin = tr * (lanes - 1) + node
+                lin = tr * nodes + node
                 order = np.argsort(lin, kind="stable")
                 lin_sorted = lin[order]
                 masks = (np.int64(1) << pos)[order]
                 uniq, first = np.unique(lin_sorted, return_index=True)
                 combined = np.bitwise_xor.reduceat(masks, first)
-                tr_u = uniq // (lanes - 1)
-                nd_u = uniq % (lanes - 1)
-                raw = counters[tr_u, nd_u].astype(np.int64) & (wrap - 1)
-                raw ^= combined
+                tr_u = uniq // nodes
+                nd_u = uniq % nodes
+                before = counters[tr_u, nd_u].astype(np.int64)
+                raw = (before & (wrap - 1)) ^ combined
                 raw -= (raw >= half) * wrap
-                counters[tr_u, nd_u] = raw.astype(np.int16)
+                counters[tr_u, nd_u] = raw
+                np.add.at(faulted, tr_u, raw - before)
 
+        # a level reads only its own counters, so all levels clamp at once
         values = products[:, :, cycle].astype(np.int16)
         for sl in level_slices:
             t = values[:, 0::2] + values[:, 1::2] + counters[:, sl]
-            z = np.clip(t, -1, 1)
-            pending = t - z
-            saturations += (np.abs(pending) > c_max).sum(axis=1, dtype=np.int64)
-            np.clip(pending, -c_max, c_max, out=pending)
-            counters[:, sl] = pending
-            values = z
+            values = np.clip(t, -1, 1)
+            np.subtract(t, values, out=pending[:, sl])
         emitted[:, cycle] = values[:, 0]
+        excess = _clamp(pending, c_max, counters)
+        saturations += (excess != 0).sum(axis=1, dtype=np.int64)
+        removed += excess.sum(axis=1, dtype=np.int64)
+
+    residual = counters.sum(axis=1, dtype=np.int64)
+    loaded = products.sum(axis=(1, 2), dtype=np.int64)
+    _check_ledger(loaded, emitted.sum(axis=1, dtype=np.int64) + residual + removed - faulted)
 
     return {
         "emitted": emitted,
         "saturation_events": saturations,
-        "residual_sum": counters.sum(axis=1, dtype=np.int64),
+        "residual_sum": residual,
     }
 
 

@@ -44,11 +44,37 @@ def _as_bits(values):
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("bit stream must be a non-empty 1-d sequence")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bit stream symbols must be 0 or 1")
     out = np.ascontiguousarray(arr, dtype=np.uint8)
     out.flags.writeable = False
     return out
+
+
+def _wrap_bits(bits):
+    """BitStream over a 0/1 uint8 vector this module just built.
+
+    The encoders build their lines from a comparison or a constant fill, so
+    the lines are valid by construction: this skips ``_as_bits`` and its
+    copy, and only makes the vector read-only as ``_as_bits`` would.
+    """
+    bits.flags.writeable = False
+    stream = object.__new__(BitStream)
+    stream.bits = bits
+    return stream
+
+
+def _wrap_pair(cls, first, second):
+    """TlbStream or SmStream over two generated lines of equal length."""
+    stream = object.__new__(cls)
+    for name, bits in zip(cls.__slots__, (first, second)):
+        setattr(stream, name, _wrap_bits(bits))
+    return stream
+
+
+def _draw(p, length, rng):
+    """Comparator bits: 1 wherever the next uniform sample is below ``p``."""
+    return (rng.uniform(length) < p).view(np.uint8)
 
 
 class BitStream:
@@ -166,8 +192,7 @@ def encode_unipolar(x, length, rng):
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"unipolar value must be in [0, 1], got {x}")
     length = _check_length(length)
-    bits = (rng.uniform(length) < x).astype(np.uint8)
-    return BitStream(bits)
+    return _wrap_bits(_draw(x, length, rng))
 
 
 def decode_unipolar(stream):
@@ -180,8 +205,7 @@ def encode_bipolar(x, length, rng):
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"bipolar value must be in [-1, 1], got {x}")
     length = _check_length(length)
-    bits = (rng.uniform(length) < (x + 1.0) / 2.0).astype(np.uint8)
-    return BitStream(bits)
+    return _wrap_bits(_draw((x + 1.0) / 2.0, length, rng))
 
 
 def decode_bipolar(stream):
@@ -198,11 +222,11 @@ def encode_tlb(x, length, rng):
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"two-line bipolar value must be in [-1, 1], got {x}")
     length = _check_length(length)
-    magnitude = encode_unipolar(abs(x), length, rng)
-    zero = BitStream.zeros(length)
+    magnitude = _draw(abs(x), length, rng)
+    zero = np.zeros(length, dtype=np.uint8)
     if x >= 0:
-        return TlbStream(magnitude, zero)
-    return TlbStream(zero, magnitude)
+        return _wrap_pair(TlbStream, magnitude, zero)
+    return _wrap_pair(TlbStream, zero, magnitude)
 
 
 def decode_tlb(stream):
@@ -216,9 +240,9 @@ def encode_sm(x, length, rng):
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"signed-magnitude value must be in [-1, 1], got {x}")
     length = _check_length(length)
-    magnitude = encode_unipolar(abs(x), length, rng)
-    sign = BitStream.ones(length) if x < 0 else BitStream.zeros(length)
-    return SmStream(sign, magnitude)
+    magnitude = _draw(abs(x), length, rng)
+    sign = np.full(length, x < 0, dtype=np.uint8)
+    return _wrap_pair(SmStream, sign, magnitude)
 
 
 def decode_sm(stream):

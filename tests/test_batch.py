@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from unittest import mock
 
@@ -17,6 +18,65 @@ from scbit.batch import (
     merge_fault_schedules,
     tree_batch,
 )
+
+
+# -- product encoders -----------------------------------------------------------
+
+
+def product_inputs(lanes):
+    gen = np.random.default_rng(lanes)
+    x = gen.uniform(-1.0, 1.0, lanes)
+    y = gen.uniform(-1.0, 1.0, lanes)
+    x[:4] = (0.0, -0.0, 1.0, -1.0)
+    y[:4] = (-1.0, 1.0, -0.0, 0.0)
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "lanes,stream_len,digest",
+    [
+        (16, 1000, "3e6fda85d0726b6ec851e6fe1465cb572484409c40d0fd6f88e3894028bf8ec4"),
+        (64, 500, "b9c98d28881072733e50eecf5eacda3683da06887d473554d782baf3809bcfbe"),
+    ],
+)
+@pytest.mark.parametrize("encode", [encode_tlb_products, encode_sm_products])
+def test_product_encoders_pinned(encode, lanes, stream_len, digest):
+    x, y = product_inputs(lanes)
+    out = encode(x, y, stream_len, RandomSource(2024))
+    assert out.dtype == np.int8 and out.shape == (lanes, stream_len)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("encode", [encode_tlb_products, encode_sm_products])
+def test_product_encoders_reject_lane_mismatch(encode):
+    with pytest.raises(ValueError, match="lanes"):
+        encode([0.1, 0.2, 0.3], [0.5], 8, RandomSource(0))
+
+
+signed_unit = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1.0, 1.0, allow_nan=False),
+)
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda k: st.tuples(
+            st.lists(signed_unit, min_size=k, max_size=k),
+            st.lists(signed_unit, min_size=k, max_size=k),
+        )
+    ),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_product_encoders_agree(xy, stream_len, seed):
+    # TLB and SM carry the same ternary symbols, so their products match
+    x, y = xy
+    tlb = encode_tlb_products(x, y, stream_len, RandomSource(seed))
+    sm = encode_sm_products(x, y, stream_len, RandomSource(seed))
+    assert tlb.dtype == sm.dtype == np.int8
+    assert np.array_equal(tlb, sm)
 
 
 # -- fault schedule sampling --------------------------------------------------
@@ -274,6 +334,31 @@ def test_tree_batch_matches_scalar_under_faults():
         )
         want = (1 - 2 * stream.sign.bits.astype(np.int8)) * stream.magnitude.bits
         assert (out["emitted"][0] == want).all()
+
+
+def test_tree_batch_rejects_bad_fault_cells():
+    # 4 lanes of width 4 have cells 0..11; cell 15 of trial 0 would land in
+    # trial 1's first counter
+    products = np.ones((2, 4, 3), np.int8)
+    for cell in (15, 12, -1):
+        faults = (np.array([0]), np.array([0]), np.array([cell]))
+        with pytest.raises(ValueError, match="fault cells"):
+            tree_batch(products, 4, fault_schedules=faults)
+    faults = (np.array([0]), np.array([0]), np.array([11]))
+    tree_batch(products, 4, fault_schedules=faults)
+
+
+def test_tree_ledger_catches_lost_units(monkeypatch):
+    # a clamp that stops reporting the units it removes breaks the ledger
+    def clamp_unreported(pending, c_max, out):
+        np.clip(pending, -c_max, c_max, out=out)
+        return np.zeros_like(pending)
+
+    products = np.ones((2, 4, 20), dtype=np.int8)
+    tree_batch(products, 2)
+    monkeypatch.setattr(batch, "_clamp", clamp_unreported)
+    with pytest.raises(RuntimeError, match="at end of run"):
+        tree_batch(products, 2)
 
 
 def test_tree_batch_rejects_bad_lanes():

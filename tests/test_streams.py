@@ -34,6 +34,17 @@ def test_bitstream_validation():
         BitStream([0.5])
     with pytest.raises(ValueError):
         BitStream([[0, 1]])
+    with pytest.raises(ValueError):
+        BitStream([-1])
+    with pytest.raises(ValueError):
+        BitStream([np.nan])
+
+
+def test_bitstream_accepts_bool_and_float_bits():
+    for values in (np.array([True, False, True]), np.array([1.0, 0.0, 1.0])):
+        s = BitStream(values)
+        assert s.bits.dtype == np.uint8
+        assert s.bits.tolist() == [1, 0, 1]
 
 
 def test_bitstream_immutable():
@@ -85,6 +96,61 @@ def test_encode_domain_errors():
             encode(bad, 8, rng)
     with pytest.raises(ValueError):
         encode_unipolar(0.5, 0, rng)
+
+
+# -- encoders draw exactly the comparator bits ------------------------------
+
+SIGNED_VALUES = (0.0, -0.0, 1.0, -1.0, 0.37, -0.58)
+
+
+def reference_bits(seed, p, length):
+    """Comparator bits of the second child of ``seed``, drawn with numpy alone."""
+    child = np.random.SeedSequence(seed).spawn(2)[1]
+    return (np.random.Generator(np.random.PCG64(child)).random(length) < p).astype(np.uint8)
+
+
+def lines(stream):
+    if isinstance(stream, BitStream):
+        return [stream.bits]
+    if isinstance(stream, TlbStream):
+        return [stream.pos.bits, stream.neg.bits]
+    return [stream.sign.bits, stream.magnitude.bits]
+
+
+def expected_lines(encode, x, seed, length):
+    if encode is encode_unipolar:
+        return [reference_bits(seed, x, length)]
+    if encode is encode_bipolar:
+        return [reference_bits(seed, (x + 1.0) / 2.0, length)]
+    magnitude = reference_bits(seed, abs(x), length)
+    if encode is encode_tlb:
+        zero = np.zeros(length, dtype=np.uint8)
+        return [magnitude, zero] if x >= 0 else [zero, magnitude]
+    return [np.full(length, x < 0, dtype=np.uint8), magnitude]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize(
+    "encode,values",
+    [
+        (encode_unipolar, (0.0, -0.0, 1.0, 0.37)),
+        (encode_bipolar, SIGNED_VALUES),
+        (encode_tlb, SIGNED_VALUES),
+        (encode_sm, SIGNED_VALUES),
+    ],
+)
+def test_encoders_match_comparator_reference(encode, values, seed):
+    for x in values:
+        stream = encode(x, 300, RandomSource(seed).spawn(2)[1])
+        got = lines(stream)
+        want = expected_lines(encode, x, seed, 300)
+        for g, w in zip(got, want):
+            assert g.dtype == np.uint8
+            assert np.array_equal(g, w)
+            # the encoders hand out no writable buffer
+            assert g.flags.writeable is False
+            with pytest.raises(ValueError):
+                g[0] = 1
 
 
 # -- decode examples --------------------------------------------------------
