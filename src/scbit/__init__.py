@@ -10,24 +10,9 @@ from .adder import (
     tlb_multiply,
     tlb_multiply_bit,
 )
-from .baseline import (
-    AdderTree,
-    CounterAdderNode,
-    TreeDiagnostics,
-    counter_add_step,
-    inject_counter_bit_flip,
-    run_tree_inner_product,
-    sm_multiply_bit,
-)
+from .baseline import TreeDiagnostics, run_tree_inner_product, sm_multiply_bit
 from .convert import sm_to_tlb, sm_to_tlb_bit, tlb_to_sm, tlb_to_sm_bit
-from .engine import (
-    EngineConfig,
-    EngineDiagnostics,
-    EngineStateError,
-    InnerProductEngine,
-    carry_cancel,
-    run_inner_product,
-)
+from .engine import EngineConfig, EngineDiagnostics, run_inner_product
 from .experiments import (
     ExperimentConfig,
     SweepResult,
@@ -60,23 +45,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdderDiagnostics",
-    "AdderTree",
     "BitStream",
     "CarryShiftRegister",
-    "CounterAdderNode",
     "EngineConfig",
     "EngineDiagnostics",
-    "EngineStateError",
     "ExperimentConfig",
-    "InnerProductEngine",
     "NonScaledAdder",
     "RandomSource",
     "SmStream",
     "SweepResult",
     "TlbStream",
     "TreeDiagnostics",
-    "carry_cancel",
-    "counter_add_step",
     "decode_bipolar",
     "decode_sm",
     "decode_tlb",
@@ -85,7 +64,6 @@ __all__ = [
     "encode_sm",
     "encode_tlb",
     "encode_unipolar",
-    "inject_counter_bit_flip",
     "nonscaled_add",
     "read_stream_csv",
     "rmse",

@@ -9,21 +9,21 @@ same conservation law as the shift-register adder: clamp the ternary
 output, keep the remainder in the counter, saturate symmetrically at
 2^(B-1) - 1. Results produced with it are labeled as reconstructed in
 experiment metadata.
+
+The tree is implemented once, in ``batch.tree_batch``;
+``run_tree_inner_product`` runs it on a batch of one trial.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
+from .batch import _one_trial_faults, encode_sm_products, tree_batch
 
-from .streams import SmStream, encode_sm
+# encode_sm is unused here, but perfbench/tracer.py wraps it by this name
+from .streams import SmStream, encode_sm  # noqa: F401
 
 __all__ = [
-    "CounterAdderNode",
-    "AdderTree",
     "TreeDiagnostics",
     "sm_multiply_bit",
-    "counter_add_step",
-    "inject_counter_bit_flip",
     "run_tree_inner_product",
 ]
 
@@ -31,64 +31,6 @@ __all__ = [
 def sm_multiply_bit(xs, xm, ys, ym):
     """One-position SM product: sign XOR, magnitude AND."""
     return xs ^ ys, xm & ym
-
-
-class CounterAdderNode:
-    """Non-scaled adder buffering its pending carry in a signed counter.
-
-    The counter is a B-bit two's-complement register clamped to the
-    symmetric range [-(2^(B-1) - 1), 2^(B-1) - 1]; clamping increments the
-    saturation count. Fault injection toggles raw two's-complement bits,
-    so a single upset can move the stored carry by up to 2^(B-1).
-    """
-
-    __slots__ = ("width", "c_max", "counter", "saturation_events")
-
-    def __init__(self, width):
-        if width < 1:
-            raise ValueError("counter width must be at least 1")
-        self.width = int(width)
-        self.c_max = 2 ** (self.width - 1) - 1
-        self.counter = 0
-        self.saturation_events = 0
-
-    def step(self, x, y):
-        """Consume two ternary inputs, emit one ternary output."""
-        t = x + y + self.counter
-        z = max(-1, min(1, t))
-        pending = t - z
-        if pending > self.c_max:
-            pending = self.c_max
-            self.saturation_events += 1
-        elif pending < -self.c_max:
-            pending = -self.c_max
-            self.saturation_events += 1
-        self.counter = pending
-        return z
-
-    def flip_bit(self, bit_index):
-        """Fault hook: toggle one bit of the two's-complement counter."""
-        if not 0 <= bit_index < self.width:
-            raise IndexError(f"bit {bit_index} out of range for width {self.width}")
-        raw = self.counter & (2**self.width - 1)
-        raw ^= 1 << bit_index
-        if raw >= 2 ** (self.width - 1):
-            raw -= 2**self.width
-        self.counter = raw
-
-    def __repr__(self):
-        return f"CounterAdderNode(width={self.width}, counter={self.counter})"
-
-
-def counter_add_step(node, x, y):
-    """Functional form of one node update; returns the ternary output."""
-    return node.step(x, y)
-
-
-def inject_counter_bit_flip(node, bit_index):
-    """Flip one counter bit in place; returns the node."""
-    node.flip_bit(bit_index)
-    return node
 
 
 @dataclass
@@ -102,60 +44,6 @@ class TreeDiagnostics:
         return self.saturation_events
 
 
-class AdderTree:
-    """Binary tree of counter adders over a power-of-two number of lanes.
-
-    Nodes are stored level-major, leaf level first; ``nodes[0]`` adds
-    lanes 0 and 1. One ``step`` consumes one ternary product per lane and
-    emits the root's ternary output for that position.
-    """
-
-    def __init__(self, leaves, width):
-        if leaves < 2 or leaves & (leaves - 1):
-            raise ValueError("tree needs a power-of-two lane count >= 2")
-        self.leaves = leaves
-        self.levels = []
-        size = leaves // 2
-        while size >= 1:
-            self.levels.append([CounterAdderNode(width) for _ in range(size)])
-            size //= 2
-
-    @property
-    def nodes(self):
-        return [node for level in self.levels for node in level]
-
-    @property
-    def depth(self):
-        return len(self.levels)
-
-    def step(self, products):
-        if len(products) != self.leaves:
-            raise ValueError(f"expected {self.leaves} lane products")
-        values = list(products)
-        for level in self.levels:
-            values = [
-                node.step(values[2 * i], values[2 * i + 1])
-                for i, node in enumerate(level)
-            ]
-        return values[0]
-
-    def saturation_events(self):
-        return sum(node.saturation_events for node in self.nodes)
-
-    def stored_sum(self):
-        return sum(node.counter for node in self.nodes)
-
-
-def _next_pow2(n):
-    size = 2
-    while size < n:
-        size *= 2
-    return size
-
-
-_TERNARY_TO_SM = {1: (0, 1), 0: (0, 0), -1: (1, 1)}
-
-
 def run_tree_inner_product(
     x, y, counter_width, stream_len, rng, pad_lanes=True, fault_schedule=None
 ):
@@ -166,57 +54,22 @@ def run_tree_inner_product(
     Lane counts that are not a power of two are zero-padded when
     ``pad_lanes`` is set, otherwise rejected. ``fault_schedule`` is an
     optional iterable of (cycle, flat_bit) pairs, flat_bit indexing the
-    level-major node list times the counter width.
+    level-major node list times the counter width; a flat_bit outside
+    [0, (K-1)·B) is a ValueError.
     """
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    if len(x) != len(y):
-        raise ValueError("input vectors must have equal length")
-    if any(abs(v) > 1.0 for v in x + y):
-        raise ValueError("vector entries must lie in [-1, 1]")
     k = len(x)
     if k < 1:
         raise ValueError("need at least one lane")
     if k < 2 or k & (k - 1):
         if not pad_lanes:
             raise ValueError("lane count must be a power of two (>= 2)")
-        padded = _next_pow2(k)
-        x = x + [0.0] * (padded - k)
-        y = y + [0.0] * (padded - k)
-        k = padded
-
-    sources = rng.spawn(2 * k)
-    x_streams = [encode_sm(x[i], stream_len, sources[i]) for i in range(k)]
-    y_streams = [encode_sm(y[i], stream_len, sources[k + i]) for i in range(k)]
-
-    # Per-lane product ternary symbols for every position, precomputed.
-    prods = np.zeros((k, stream_len), dtype=np.int8)
-    for lane in range(k):
-        zs, zm = (
-            x_streams[lane].sign.bits ^ y_streams[lane].sign.bits,
-            x_streams[lane].magnitude.bits & y_streams[lane].magnitude.bits,
-        )
-        prods[lane] = (1 - 2 * zs.astype(np.int8)) * zm.astype(np.int8)
-
-    flips_by_cycle = {}
-    if fault_schedule is not None:
-        for cycle, flat_bit in fault_schedule:
-            flips_by_cycle.setdefault(int(cycle), []).append(int(flat_bit))
-
-    tree = AdderTree(k, counter_width)
-    nodes = tree.nodes
-    sign_bits = np.zeros(stream_len, dtype=np.uint8)
-    mag_bits = np.zeros(stream_len, dtype=np.uint8)
-    for l in range(stream_len):
-        for flat_bit in flips_by_cycle.get(l, ()):
-            nodes[flat_bit // counter_width].flip_bit(flat_bit % counter_width)
-        z = tree.step(prods[:, l].tolist())
-        s, m = _TERNARY_TO_SM[z]
-        sign_bits[l] = s
-        mag_bits[l] = m
-
+        zeros = [0.0] * ((1 << max(1, (k - 1).bit_length())) - k)
+        x, y = list(x) + zeros, list(y) + zeros
+    products = encode_sm_products(x, y, stream_len, rng)
+    out = tree_batch(products[None], counter_width, _one_trial_faults(fault_schedule))
+    z = out["emitted"][0]
     diagnostics = TreeDiagnostics(
-        saturation_events=tree.saturation_events(),
-        residual_sum=tree.stored_sum(),
+        saturation_events=int(out["saturation_events"][0]),
+        residual_sum=int(out["residual_sum"][0]),
     )
-    return SmStream(sign_bits, mag_bits), diagnostics
+    return SmStream(z < 0, z != 0), diagnostics

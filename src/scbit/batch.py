@@ -1,13 +1,15 @@
-"""Trial-vectorized kernels for Monte Carlo sweeps.
+"""Trial-vectorized kernels: the one implementation of both designs.
 
 These run many independent trials in lockstep on numpy arrays (one row
-per trial) and are bit-exact with the scalar classes in ``engine`` and
-``baseline``; the equivalence is asserted by the test suite, including
-under injected faults. Scalar classes stay the reference for single runs
-and tracing; these kernels exist so 200-trial accuracy and fault sweeps
-finish in seconds instead of hours.
+per trial). The sweeps run hundreds of trials at once; the single-shot
+runs ``run_inner_product`` and ``run_tree_inner_product`` run one, and
+the per-cycle trace is written by ``engine_batch``. The test suite checks
+the kernels bit for bit against independent scalar oracles of the
+hardware, including under injected faults.
 """
 
+import contextlib
+import csv
 import functools
 
 import numpy as np
@@ -23,7 +25,13 @@ __all__ = [
     "engine_batch",
     "tree_batch",
     "canceler_batch",
+    "TRACE_COLUMNS",
 ]
+
+TRACE_COLUMNS = (
+    "l", "substep", "ps_front", "ns_front", "pc_count", "nc_count", "zp", "zn",
+    "cc_cancellations",
+)
 
 
 def _lane_streams(encode, x, y, stream_len, rng):
@@ -43,9 +51,8 @@ def _stack(lines, stream_len):
 def encode_tlb_products(x, y, stream_len, rng):
     """Per-lane ternary product streams for the sequential engine.
 
-    Uses the same child-source layout as ``run_inner_product`` (x lanes
-    first, then y lanes), so a batch trial and a scalar run with the same
-    source see identical bits.
+    Lane k multiplies the streams of x[k] and y[k], drawn from child
+    sources k and K + k of ``rng``.
     """
     k = len(x)
     streams = _lane_streams(encode_tlb, x, y, stream_len, rng)
@@ -84,6 +91,14 @@ def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
         return empty, empty.copy()
     flat = np.sort(rng.sample_without_replacement(total, count))
     return flat // n_bits, flat % n_bits
+
+
+def _one_trial_faults(schedule):
+    """Batch fault arrays for one trial from (cycle, cell) pairs; None stays None."""
+    if schedule is None:
+        return None
+    pairs = np.array(list(schedule), dtype=np.int64).reshape(-1, 2)
+    return merge_fault_schedules([pairs.T])
 
 
 def merge_fault_schedules(schedules):
@@ -140,8 +155,8 @@ def _carry_table(m):
     ``step[op << (2M + 2) | entry]`` is the entry after ``op`` acts on the
     entry's state; its flags are the (+1, -1) carries a delivery pushed off
     the back, or the (zp, zn) pair an emission put out. The flags of the
-    input entry are ignored. ``stored[state]`` is the signed carry count
-    popcount(pc) - popcount(nc). Built on first use per M; read-only.
+    input entry are ignored. ``counts[:, state]`` is the pair of carry
+    counts (popcount(pc), popcount(nc)). Built on first use per M; read-only.
     """
     width = 2 * m
     mask = (1 << m) - 1
@@ -170,10 +185,10 @@ def _carry_table(m):
     )
     # one copy per value of the two input flag bits
     step = np.repeat(after, 4, axis=0).reshape(-1)
-    stored = _ones(pc, m) - _ones(nc, m)
+    counts = np.stack([_ones(pc, m), _ones(nc, m)])
     step.flags.writeable = False
-    stored.flags.writeable = False
-    return step, stored
+    counts.flags.writeable = False
+    return step, counts
 
 
 class _PackedCarry:
@@ -181,23 +196,24 @@ class _PackedCarry:
 
     def __init__(self, m, n_trials):
         self.m = m
-        self.step, self.stored_of = _carry_table(m)
+        self.step, self.counts_of = _carry_table(m)
         self.op_shift = 2 * m + 2
         self.entry = np.zeros(n_trials, dtype=np.int32)
 
-    def _stored(self, entries):
-        return self.stored_of[entries & ((1 << 2 * self.m) - 1)]
+    def _counts(self, entries):
+        return self.counts_of[:, entries & ((1 << 2 * self.m) - 1)]
 
-    def run(self, deliveries, flips, faulted, want_stored):
+    def run(self, deliveries, flips, faulted, want_counts):
         """Step the carry registers through one chunk of cycles.
 
         ``deliveries``: (K, cycles, trials) front pairs +1, 0, -1 in step
         order. ``flips[i]`` is None or the (trials, cells) toggled at the
-        start of cycle i; the stored-count change they cause goes to
-        ``faulted[i]``. Returns ``flags`` of shape (cycles, K + 1, trials),
-        whose bits 0 and 1 are the +1 and -1 carries dropped at each step
-        and, at index K, the emitted (zp, zn) pair; and, if
-        ``want_stored``, the signed stored count after every step.
+        start of cycle i; the change they cause in the (pc, nc) carry counts
+        goes to ``faulted[:, i]``. Returns ``flags`` of shape
+        (cycles, K + 1, trials), whose bits 0 and 1 are the +1 and -1
+        carries dropped at each step and, at index K, the emitted (zp, zn)
+        pair; and, if ``want_counts``, the (pc, nc) carry counts after every
+        step, of shape (2, cycles, K + 1, trials).
         """
         lanes, n_cycles, n_trials = deliveries.shape
         emit = np.int64(3) << self.op_shift
@@ -207,23 +223,21 @@ class _PackedCarry:
         for i in range(n_cycles):
             if flips[i] is not None:
                 trials, bits = flips[i]
-                hit = np.unique(trials)
-                before = self._stored(entry[hit])
+                before = self._counts(entry)
                 np.bitwise_xor.at(entry, trials, (1 << bits).astype(np.int32))
-                faulted[i, hit] = self._stored(entry[hit]) - before
+                faulted[:, i] = self._counts(entry) - before
             ops = (deliveries[:, i].astype(np.int64) + 1) << self.op_shift
             row = rows[i]
             for s in range(lanes):
                 entry = row[s] = step[entry + ops[s]]
             entry = row[lanes] = step[entry + emit]
         self.entry = entry
-        stored = self._stored(rows) if want_stored else None
+        counts = self._counts(rows) if want_counts else None
         rows >>= 2 * self.m
-        return rows, stored
+        return rows, counts
 
     def residuals(self):
-        mask = (1 << self.m) - 1
-        return _ones(self.entry & mask, self.m), _ones((self.entry >> self.m) & mask, self.m)
+        return tuple(self._counts(self.entry))
 
 
 def _csr_shift(reg, do_in, do_out):
@@ -250,25 +264,24 @@ class _BitCarry:
         self.pc = np.zeros((n_trials, m), dtype=np.int8)
         self.nc = np.zeros((n_trials, m), dtype=np.int8)
 
-    def _stored(self):
-        return self.pc.sum(axis=1, dtype=np.int64) - self.nc.sum(axis=1, dtype=np.int64)
+    def _counts(self):
+        return np.stack([self.pc.sum(axis=1, dtype=np.int64), self.nc.sum(axis=1, dtype=np.int64)])
 
-    def run(self, deliveries, flips, faulted, want_stored):
+    def run(self, deliveries, flips, faulted, want_counts):
         """Same contract as ``_PackedCarry.run``."""
         lanes, n_cycles, n_trials = deliveries.shape
         m = self.m
         flags = np.empty((n_cycles, lanes + 1, n_trials), dtype=np.int8)
-        stored = np.empty(flags.shape, dtype=np.int64) if want_stored else None
+        counts = np.empty((2,) + flags.shape, dtype=np.int64) if want_counts else None
         no_shift = np.zeros(n_trials, dtype=bool)
         for i in range(n_cycles):
             if flips[i] is not None:
                 trials, bits = flips[i]
-                hit = np.unique(trials)
-                before = self._stored()[hit]
+                before = self._counts()
                 in_pc = bits < m
                 np.bitwise_xor.at(self.pc, (trials[in_pc], bits[in_pc]), 1)
                 np.bitwise_xor.at(self.nc, (trials[~in_pc], bits[~in_pc] - m), 1)
-                faulted[i, hit] = self._stored()[hit] - before
+                faulted[:, i] = self._counts() - before
             for s in range(lanes + 1):
                 cp = self.pc[:, 0]
                 cn = self.nc[:, 0]
@@ -288,12 +301,12 @@ class _BitCarry:
                 self.nc, drop_n = _csr_shift(self.nc, nc_in, nc_out)
                 if s < lanes:
                     flags[i, s] = drop_p | drop_n << 1
-                if want_stored:
-                    stored[i, s] = self._stored()
-        return flags, stored
+                if want_counts:
+                    counts[:, i, s] = self._counts()
+        return flags, counts
 
     def residuals(self):
-        return self.pc.sum(axis=1, dtype=np.int64), self.nc.sum(axis=1, dtype=np.int64)
+        return tuple(self._counts())
 
 
 def _unbalanced(where, trial, lhs, rhs):
@@ -342,6 +355,54 @@ def _check_steps(deliveries, loaded, flags, stored, faulted, totals, first_cycle
         raise _unbalanced(where, t, lhs[i, s, t], rhs[i, s, t])
 
 
+class _Trace:
+    """Per-cycle trace CSV of a one-trial run, K + 1 rows per main-clock cycle.
+
+    Row s < K shows the state before high-clock step s: the front pair that
+    step delivers, the carry counts, the output pair of the last emission
+    and the cancellations so far. Row K shows the state after the emission,
+    when the input registers are empty.
+    """
+
+    def __init__(self, handle, lanes):
+        self.writer = csv.writer(handle)
+        self.writer.writerow(TRACE_COLUMNS)
+        self.lanes = lanes
+        self.counts = np.zeros((2, 1), dtype=np.int64)  # after the last emission
+        self.out = np.zeros((2, 1), dtype=np.int64)  # (zp, zn) of the last emission
+        self.cc = 0
+
+    def write(self, first_cycle, fronts, counts, flags, faulted, cc_steps):
+        """Rows of one chunk of cycles.
+
+        ``fronts``: (2, cycles, K) delivered (+1, -1) front bits; ``counts``:
+        (2, cycles, K + 1) carry counts after every step; ``flags``:
+        (cycles, K + 1) stepper flags; ``faulted``: (2, cycles) count changes
+        made by faults; ``cc_steps``: (cycles, K) cancellations per step.
+        """
+        k = self.lanes
+        n_c = len(flags)
+        after_emit = counts[:, :, k]
+        emitted = np.stack([flags[:, k] & 1, flags[:, k] >> 1])
+        # a cycle starts from the carry counts and output pair of the emission before it
+        start = np.concatenate([self.counts, after_emit[:, :-1]], axis=1) + faulted
+        out = np.concatenate([self.out, emitted[:, :-1]], axis=1)
+        cc = self.cc + np.cumsum(cc_steps).reshape(n_c, k)
+        rows = np.zeros((n_c, k + 1, len(TRACE_COLUMNS)), dtype=np.int64)
+        rows[..., 0] = np.arange(first_cycle + 1, first_cycle + n_c + 1)[:, None]
+        rows[..., 1] = np.arange(k + 1)
+        rows[:, :k, 2:4] = fronts.transpose(1, 2, 0)
+        rows[:, 0, 4:6] = start.T
+        rows[:, 1:k, 4:6] = counts[:, :, : k - 1].transpose(1, 2, 0)
+        rows[:, k, 4:6] = after_emit.T
+        rows[:, :k, 6:8] = out.T[:, None]
+        rows[:, k, 6:8] = emitted.T
+        rows[:, :k, 8] = cc - cc_steps
+        rows[:, k, 8] = cc[:, -1]
+        self.writer.writerows(rows.reshape(-1, len(TRACE_COLUMNS)).tolist())
+        self.counts, self.out, self.cc = after_emit[:, -1:], emitted[:, -1:], int(cc[-1, -1])
+
+
 def engine_batch(
     products,
     carry_len,
@@ -349,6 +410,7 @@ def engine_batch(
     shift_direction="opposite",
     fault_schedules=None,
     check_conservation=False,
+    trace_path=None,
 ):
     """Run the sequential engine over a batch of trials.
 
@@ -367,14 +429,19 @@ def engine_batch(
     emitted + stored + dropped_pos - dropped_neg - (stored change caused
     by faults), and raises RuntimeError on a mismatch.
     ``check_conservation`` checks the same law after every high-clock step
-    and every emission.
+    and every emission. ``trace_path`` writes the per-cycle trace CSV
+    (columns ``TRACE_COLUMNS``) of a batch of one trial.
     """
     products = np.asarray(products, dtype=np.int8)
     n_trials, lanes, n_cycles = products.shape
     m = int(carry_len)
     if m < 1:
         raise ValueError("carry_len must be >= 1")
+    if trace_path is not None and n_trials != 1:
+        raise ValueError("a trace covers a batch of exactly one trial")
     carry = (_PackedCarry if 2 * m <= _TABLE_MAX_BITS else _BitCarry)(m, n_trials)
+    trace = None
+    want_counts = check_conservation or trace_path is not None
 
     if fault_schedules is not None:
         f_trials, f_cycles, f_bits = fault_schedules
@@ -392,44 +459,54 @@ def engine_batch(
     faulted = np.zeros(n_trials, dtype=np.int64)
 
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n_trials * lanes))
-    for c0 in range(0, n_cycles, chunk):
-        c1 = min(c0 + chunk, n_cycles)
-        n_c = c1 - c0
-        block = products[:, :, c0:c1]
+    with contextlib.ExitStack() as files:
+        if trace_path is not None:
+            trace = _Trace(files.enter_context(open(trace_path, "w", newline="")), lanes)
+        for c0 in range(0, n_cycles, chunk):
+            c1 = min(c0 + chunk, n_cycles)
+            n_c = c1 - c0
+            block = products[:, :, c0:c1]
 
-        # stage 1: the front pairs delivered at every high-clock step
-        planes = block.transpose(1, 2, 0).reshape(lanes, n_c * n_trials)
-        dp, dn, cc = canceler_batch(
-            (planes == 1).view(np.int8).T,
-            (planes == -1).view(np.int8).T,
-            shift_direction,
-            cc_enabled,
-        )
-        cc_counts += cc.reshape(n_c, n_trials).sum(axis=0)
-        deliveries = (dp.T - dn.T).reshape(lanes, n_c, n_trials)
+            # stage 1: the front pairs delivered at every high-clock step
+            planes = block.transpose(1, 2, 0).reshape(lanes, n_c * n_trials)
+            dp, dn, cc = canceler_batch(
+                (planes == 1).view(np.int8).T,
+                (planes == -1).view(np.int8).T,
+                shift_direction,
+                cc_enabled,
+                per_step=trace is not None,
+            )
+            cc_counts += cc.reshape(n_c, n_trials, -1).sum(axis=(0, 2))
+            deliveries = (dp.T - dn.T).reshape(lanes, n_c, n_trials)
 
-        # stage 2: the carry registers, in step order
-        flips = [None] * n_c
-        if fault_schedules is not None:
-            for i in range(n_c):
-                lo, hi = starts[c0 + i], starts[c0 + i + 1]
-                if hi > lo:
-                    flips[i] = (f_trials[lo:hi], f_bits[lo:hi])
-        faulted_c = np.zeros((n_c, n_trials), dtype=np.int64)
-        flags, stored = carry.run(deliveries, flips, faulted_c, check_conservation)
+            # stage 2: the carry registers, in step order
+            flips = [None] * n_c
+            if fault_schedules is not None:
+                for i in range(n_c):
+                    lo, hi = starts[c0 + i], starts[c0 + i + 1]
+                    if hi > lo:
+                        flips[i] = (f_trials[lo:hi], f_bits[lo:hi])
+            faulted_c = np.zeros((2, n_c, n_trials), dtype=np.int64)
+            flags, counts = carry.run(deliveries, flips, faulted_c, want_counts)
 
-        loaded_c = block.sum(axis=1, dtype=np.int64).T
-        if check_conservation:
-            totals = (loaded, emitted, dropped_pos - dropped_neg, faulted)
-            _check_steps(deliveries, loaded_c, flags, stored, faulted_c, totals, c0)
-        emitted_p[:, c0:c1] = (flags[:, lanes] & 1).T
-        emitted_n[:, c0:c1] = (flags[:, lanes] >> 1).T
-        dropped_pos += (flags[:, :lanes] & 1).sum(axis=(0, 1), dtype=np.int64)
-        dropped_neg += (flags[:, :lanes] >> 1).sum(axis=(0, 1), dtype=np.int64)
-        emitted += emitted_p[:, c0:c1].sum(axis=1, dtype=np.int64)
-        emitted -= emitted_n[:, c0:c1].sum(axis=1, dtype=np.int64)
-        loaded += loaded_c.sum(axis=0)
-        faulted += faulted_c.sum(axis=0)
+            loaded_c = block.sum(axis=1, dtype=np.int64).T
+            if check_conservation:
+                totals = (loaded, emitted, dropped_pos - dropped_neg, faulted)
+                _check_steps(
+                    deliveries, loaded_c, flags, counts[0] - counts[1],
+                    faulted_c[0] - faulted_c[1], totals, c0,
+                )
+            if trace is not None:
+                fronts = np.stack([dp, dn])
+                trace.write(c0, fronts, counts[..., 0], flags[..., 0], faulted_c[..., 0], cc)
+            emitted_p[:, c0:c1] = (flags[:, lanes] & 1).T
+            emitted_n[:, c0:c1] = (flags[:, lanes] >> 1).T
+            dropped_pos += (flags[:, :lanes] & 1).sum(axis=(0, 1), dtype=np.int64)
+            dropped_neg += (flags[:, :lanes] >> 1).sum(axis=(0, 1), dtype=np.int64)
+            emitted += emitted_p[:, c0:c1].sum(axis=1, dtype=np.int64)
+            emitted -= emitted_n[:, c0:c1].sum(axis=1, dtype=np.int64)
+            loaded += loaded_c.sum(axis=0)
+            faulted += (faulted_c[0] - faulted_c[1]).sum(axis=0)
 
     residual_pos, residual_neg = carry.residuals()
     _check_ledger(
@@ -447,12 +524,26 @@ def engine_batch(
     }
 
 
+def _counter_dtype(width, nodes):
+    """Narrowest signed dtype holding every node sum x + y + counter.
+
+    A flipped top bit takes a sum down to -2^(width-1) - 2. Wider counters
+    are rejected once 2^width times the node count overflows int64.
+    """
+    if width < 1:
+        raise ValueError("counter width must be >= 1")
+    if nodes << width > np.iinfo(np.int64).max:
+        raise ValueError(f"counter width {width} is too wide for {nodes} nodes")
+    bound = 2 ** (width - 1) + 2
+    return next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
+
+
 def _clamp(pending, c_max, out):
     """Store the pending node carries saturated at +-c_max in ``out``.
 
     Returns the signed units the saturation removed from each node.
     """
-    np.clip(pending, -c_max, c_max, out=out)
+    np.minimum(np.maximum(pending, -c_max, out=out), c_max, out=out)
     return pending - out
 
 
@@ -460,9 +551,14 @@ def tree_batch(products, counter_width, fault_schedules=None):
     """Run the counter-based adder tree over a batch of trials.
 
     ``products``: (trials, lanes, cycles) int8, lanes a power of two.
-    Node storage is a flat (trials, lanes-1) counter array in level-major
-    order, matching ``AdderTree.nodes``; fault cell ``node * width + bit``
-    is bit ``bit`` of node ``node``.
+    Each node adds its two ternary inputs and its counter into t, emits
+    clamp(t, -1, 1) and keeps the remainder, saturated at +-c_max =
+    2^(B-1) - 1; every clamp counts a saturation event. Node storage is a
+    flat (trials, lanes-1) counter array in level-major order, leaf level
+    first, so node 0 adds lanes 0 and 1. A counter is a B-bit
+    two's-complement register: fault cell ``node * width + bit`` toggles
+    raw bit ``bit`` of node ``node``, so one upset can move the stored
+    carry by up to 2^(B-1).
 
     Every run ends with a per-trial ledger of signed units, loaded =
     emitted + residual_sum + units removed by the +-c_max clamp - (stored
@@ -473,10 +569,11 @@ def tree_batch(products, counter_width, fault_schedules=None):
     if lanes < 2 or lanes & (lanes - 1):
         raise ValueError("tree batch needs a power-of-two lane count >= 2")
     width = int(counter_width)
+    nodes = lanes - 1
+    dtype = _counter_dtype(width, nodes)
     c_max = 2 ** (width - 1) - 1
     wrap = 1 << width
     half = 1 << (width - 1)
-    nodes = lanes - 1
 
     level_slices = []
     start, size = 0, lanes // 2
@@ -485,11 +582,12 @@ def tree_batch(products, counter_width, fault_schedules=None):
         start += size
         size //= 2
 
-    counters = np.zeros((n_trials, nodes), dtype=np.int16)
+    counters = np.zeros((n_trials, nodes), dtype=dtype)
     pending = np.empty_like(counters)
     emitted = np.zeros((n_trials, n_cycles), dtype=np.int8)
-    saturations = np.zeros(n_trials, dtype=np.int64)
-    removed = np.zeros(n_trials, dtype=np.int64)
+    # per node: saturation events and units removed by the clamp
+    saturations = np.zeros((n_trials, nodes), dtype=np.int64)
+    removed = np.zeros((n_trials, nodes), dtype=np.int64)
     faulted = np.zeros(n_trials, dtype=np.int64)
 
     if fault_schedules is not None:
@@ -504,48 +602,42 @@ def tree_batch(products, counter_width, fault_schedules=None):
         if starts is not None:
             lo, hi = starts[cycle], starts[cycle + 1]
             if hi > lo:
-                tr = f_trials[lo:hi]
-                node = f_bits[lo:hi] // width
-                pos = f_bits[lo:hi] % width
-                # several flips may hit one counter in a cycle: combine the
-                # XOR masks per (trial, node) before sign-extending once
-                lin = tr * nodes + node
-                order = np.argsort(lin, kind="stable")
-                lin_sorted = lin[order]
-                masks = (np.int64(1) << pos)[order]
-                uniq, first = np.unique(lin_sorted, return_index=True)
-                combined = np.bitwise_xor.reduceat(masks, first)
-                tr_u = uniq // nodes
-                nd_u = uniq % nodes
-                before = counters[tr_u, nd_u].astype(np.int64)
-                raw = (before & (wrap - 1)) ^ combined
+                # toggle the raw two's-complement bits, then sign-extend
+                cells = f_trials[lo:hi], f_bits[lo:hi] // width
+                masks = (1 << (f_bits[lo:hi] % width)).astype(dtype)
+                raw = counters & (wrap - 1)
+                np.bitwise_xor.at(raw, cells, masks)
                 raw -= (raw >= half) * wrap
-                counters[tr_u, nd_u] = raw
-                np.add.at(faulted, tr_u, raw - before)
+                faulted += (raw - counters).sum(axis=1, dtype=np.int64)
+                counters[:] = raw
 
         # a level reads only its own counters, so all levels clamp at once
-        values = products[:, :, cycle].astype(np.int16)
+        values = products[:, :, cycle].astype(dtype)
         for sl in level_slices:
             t = values[:, 0::2] + values[:, 1::2] + counters[:, sl]
-            values = np.clip(t, -1, 1)
+            values = np.minimum(np.maximum(t, -1), 1)
             np.subtract(t, values, out=pending[:, sl])
         emitted[:, cycle] = values[:, 0]
         excess = _clamp(pending, c_max, counters)
-        saturations += (excess != 0).sum(axis=1, dtype=np.int64)
-        removed += excess.sum(axis=1, dtype=np.int64)
+        saturations += excess != 0
+        removed += excess
 
     residual = counters.sum(axis=1, dtype=np.int64)
     loaded = products.sum(axis=(1, 2), dtype=np.int64)
-    _check_ledger(loaded, emitted.sum(axis=1, dtype=np.int64) + residual + removed - faulted)
+    _check_ledger(
+        loaded, emitted.sum(axis=1, dtype=np.int64) + residual + removed.sum(axis=1) - faulted
+    )
 
     return {
         "emitted": emitted,
-        "saturation_events": saturations,
+        "saturation_events": saturations.sum(axis=1),
         "residual_sum": residual,
     }
 
 
-def canceler_batch(hold_pos, hold_neg, shift_direction="opposite", cc_enabled=True):
+def canceler_batch(
+    hold_pos, hold_neg, shift_direction="opposite", cc_enabled=True, per_step=False
+):
     """Input shift registers with carry cancelers, for every trial at once.
 
     Loads the input shift registers from hold-register bit planes, applies
@@ -553,8 +645,10 @@ def canceler_batch(hold_pos, hold_neg, shift_direction="opposite", cc_enabled=Tr
     delivery/shift steps, recording the front pair handed to the
     accumulation stage before every shift. Returns (delivered_pos,
     delivered_neg, cancellations) with deliveries of shape (trials, K).
-    This is the shift-direction experiment kernel and stage 1 of
-    ``engine_batch``.
+    ``cancellations`` holds the per-trial totals or, with ``per_step``, the
+    (trials, K) counts of the cancelers of each high-clock step; the
+    load-path cancellations are then left out. This is the shift-direction
+    experiment kernel and stage 1 of ``engine_batch``.
 
     Both registers shift one cell per step, so cell j at step s holds what
     was loaded into cell j + s. In that load frame nothing moves: step s
@@ -586,12 +680,18 @@ def canceler_batch(hold_pos, hold_neg, shift_direction="opposite", cc_enabled=Tr
 
     # the first undelivered column the cancelers reach at steps 0, 1, ...
     firsts = range(1, lanes, 2 if opposite else 1) if cc_enabled else ()
-    for first in firsts:
+    if per_step:
+        cancellations = np.zeros(hp.shape, dtype=np.int64)
+    for step, first in enumerate(firsts):
         movers_p = ps[first:]
         movers_n = ns[first:][::-1] if opposite else ns[first:]
         met = movers_p & movers_n
         movers_p ^= met
         movers_n ^= met
+        if per_step:
+            cancellations[step] = met.sum(axis=0)
+    if per_step:
+        return ps.T, ns.T, cancellations.T
     # every +1 not delivered met a -1 at a canceler
     cancellations = hp.sum(axis=0, dtype=np.int64) - ps.sum(axis=0, dtype=np.int64)
     return ps.T, ns.T, cancellations

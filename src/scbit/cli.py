@@ -114,8 +114,6 @@ def _cmd_inner_product(args):
         raise UsageError(
             f"vector lengths differ: {len(x)} (x) vs {len(y)} (y)"
         )
-    if any(abs(v) > 1.0 for v in x + y):
-        raise UsageError("vector entries must lie in [-1, 1]")
     seed = _default_seed(args.seed)
     rng = RandomSource(seed)
     truth = float(np.dot(x, y))
@@ -293,15 +291,18 @@ def build_parser():
     p_dec.add_argument("--format", choices=sorted(_DECODERS), default=None)
     p_dec.set_defaults(func=_cmd_decode)
 
+    defaults = ExperimentConfig()
     p_ip = sub.add_parser("inner-product", help="single-shot inner product")
     p_ip.add_argument("x_file", help="text file, one value per line")
     p_ip.add_argument("y_file")
-    p_ip.add_argument("--len", type=int, default=10_000)
-    p_ip.add_argument("--carry-len", type=int, default=6)
-    p_ip.add_argument("--counter-bits", type=int, default=4)
-    p_ip.add_argument("--cc", choices=("on", "off"), default="on")
-    p_ip.add_argument("--direction", choices=("opposite", "same"), default="opposite")
-    p_ip.add_argument("--design", choices=("novel", "baseline"), default="novel")
+    p_ip.add_argument("--len", type=int, default=defaults.stream_len)
+    p_ip.add_argument("--carry-len", type=int, default=defaults.carry_len)
+    p_ip.add_argument("--counter-bits", type=int, default=defaults.counter_width)
+    p_ip.add_argument("--cc", choices=("on", "off"), default=("off", "on")[defaults.cc_enabled])
+    p_ip.add_argument(
+        "--direction", choices=("opposite", "same"), default=defaults.shift_direction
+    )
+    p_ip.add_argument("--design", choices=("novel", "baseline"), default=defaults.design)
     p_ip.add_argument("--seed", type=int, default=None)
     p_ip.add_argument("--trace", default=None, help="per-cycle trace CSV")
     p_ip.add_argument("--out", default=None, help="diagnostics JSON")

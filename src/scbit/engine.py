@@ -19,33 +19,23 @@ reads pre-edge values. The ``shift_direction="same"`` mode models the
 parallel-register layout (direct load, same-index canceler coupling) and
 exists for the shift-direction experiment; ``cc_enabled=False`` replaces
 the cancelers with plain shifts.
+
+The engine is implemented once, in ``batch.engine_batch``;
+``run_inner_product`` runs it on a batch of one trial.
 """
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-import numpy as np
+from .batch import _one_trial_faults, encode_tlb_products, engine_batch
 
-from .adder import CarryShiftRegister, tlb_multiply_bit
-from .streams import TlbStream, encode_tlb
+# encode_tlb is unused here, but perfbench/tracer.py wraps it by this name
+from .streams import TlbStream, encode_tlb  # noqa: F401
 
 __all__ = [
     "EngineConfig",
     "EngineDiagnostics",
-    "EngineStateError",
-    "InnerProductEngine",
-    "carry_cancel",
     "run_inner_product",
 ]
-
-
-class EngineStateError(RuntimeError):
-    """Raised when the two clock domains are driven out of order."""
-
-
-def carry_cancel(a, b):
-    """Carry canceler cell: both outputs zero iff both inputs are one."""
-    return a & (b ^ 1), b & (a ^ 1)
 
 
 @dataclass
@@ -78,195 +68,6 @@ class EngineDiagnostics:
         return self.dropped_pos + self.dropped_neg
 
 
-class InnerProductEngine:
-    """Cycle-exact register file of the inner-product architecture."""
-
-    def __init__(self, config):
-        self.config = config
-        k = config.lanes
-        self.hold_pos = np.zeros(k, dtype=np.uint8)
-        self.hold_neg = np.zeros(k, dtype=np.uint8)
-        self.shift_pos = np.zeros(k, dtype=np.uint8)
-        self.shift_neg = np.zeros(k, dtype=np.uint8)
-        self.carry_pos = CarryShiftRegister(config.carry_len)
-        self.carry_neg = CarryShiftRegister(config.carry_len)
-        self.out_pos = 0
-        self.out_neg = 0
-        self.main_cycles = 0
-        self.high_steps = config.lanes  # ready for the first load
-        self.cc_cancellations = 0
-        self.dropped_pos = 0
-        self.dropped_neg = 0
-
-    # -- fault hook -------------------------------------------------------
-
-    def flip_carry_cell(self, flat_index):
-        """Toggle one carry storage cell; indices 0..M-1 hit the +1
-        register, M..2M-1 the -1 register."""
-        m = self.config.carry_len
-        if not 0 <= flat_index < 2 * m:
-            raise IndexError(f"carry cell {flat_index} out of range")
-        if flat_index < m:
-            self.carry_pos.flip_cell(flat_index)
-        else:
-            self.carry_neg.flip_cell(flat_index - m)
-
-    # -- clock domain operations ------------------------------------------
-
-    def latch_products(self, x_bits, y_bits):
-        """Multiplier stage: compute lane products into the hold registers."""
-        k = self.config.lanes
-        if len(x_bits) != k or len(y_bits) != k:
-            raise ValueError(f"expected {k} bit pairs per input vector")
-        for lane, ((xp, xn), (yp, yn)) in enumerate(zip(x_bits, y_bits)):
-            vp, vn = tlb_multiply_bit(xp, xn, yp, yn)
-            self.hold_pos[lane] = vp
-            self.hold_neg[lane] = vn
-
-    def load_inputs(self):
-        """Copy the hold registers into the input shift registers.
-
-        Only legal once the previous cycle's K high-clock steps are done.
-        """
-        if self.high_steps != self.config.lanes:
-            raise EngineStateError(
-                "load attempted mid-sequence "
-                f"({self.high_steps}/{self.config.lanes} high-clock steps done)"
-            )
-        self.shift_pos[:] = self.hold_pos
-        if self.config.shift_direction == "opposite":
-            self.shift_neg[:] = self.hold_neg[::-1]
-        else:
-            self.shift_neg[:] = self.hold_neg
-        self.high_steps = 0
-
-    def _accumulate(self):
-        """One accumulation update from the current fronts."""
-        x = int(self.shift_pos[0]) - int(self.shift_neg[0])
-        pc = self.carry_pos
-        nc = self.carry_neg
-        cp = pc.front()
-        cn = nc.front()
-        c = cp - cn
-        if x == 0:
-            if c == 0:
-                pc.shift_out()
-                nc.shift_out()
-        elif x == 1:
-            if c == 0:
-                if cp:  # both fronts set (possible only after a fault)
-                    nc.shift_out()
-                else:
-                    self.dropped_pos += pc.shift_in()
-            elif c == -1:
-                nc.shift_out()
-            else:  # c == +1
-                self.dropped_pos += pc.shift_in()
-        else:  # x == -1
-            if c == 0:
-                if cp:
-                    pc.shift_out()
-                else:
-                    self.dropped_neg += nc.shift_in()
-            elif c == 1:
-                pc.shift_out()
-            else:  # c == -1
-                self.dropped_neg += nc.shift_in()
-
-    def _shift_inputs(self):
-        """Advance both input shift registers one cell, canceling carries."""
-        k = self.config.lanes
-        ps = self.shift_pos
-        ns = self.shift_neg
-        new_ps = np.zeros(k, dtype=np.uint8)
-        new_ns = np.zeros(k, dtype=np.uint8)
-        if k > 1:
-            movers_p = ps[1:]
-            movers_n = ns[1:]
-            if not self.config.cc_enabled:
-                new_ps[: k - 1] = movers_p
-                new_ns[: k - 1] = movers_n
-            else:
-                if self.config.shift_direction == "opposite":
-                    mask_p = ns[::-1][: k - 1]
-                    mask_n = ps[::-1][: k - 1]
-                else:
-                    mask_p = ns[1:]
-                    mask_n = ps[1:]
-                self.cc_cancellations += int((movers_p & mask_p).sum())
-                new_ps[: k - 1] = movers_p & (mask_p ^ 1)
-                new_ns[: k - 1] = movers_n & (mask_n ^ 1)
-        self.shift_pos = new_ps
-        self.shift_neg = new_ns
-
-    def high_clock_step(self):
-        """Accumulate from the current fronts, then shift the inputs."""
-        if self.high_steps >= self.config.lanes:
-            raise EngineStateError("high-clock step past the end of the sequence")
-        self._accumulate()
-        self._shift_inputs()
-        self.high_steps += 1
-
-    def emit(self):
-        """Copy carry fronts to the output flip-flops and consume them."""
-        zp = self.carry_pos.front()
-        zn = self.carry_neg.front()
-        if zp:
-            self.carry_pos.shift_out()
-        if zn:
-            self.carry_neg.shift_out()
-        self.out_pos = zp
-        self.out_neg = zn
-        return zp, zn
-
-    def main_clock_cycle(self, x_bits, y_bits, observer=None):
-        """One full main-clock cycle; returns the output bit pair.
-
-        ``observer(engine, substep)`` is called before each high-clock step
-        (substep 0..K-1) and once after emission (substep K), for tracing.
-        """
-        if self.main_cycles >= self.config.stream_len:
-            raise EngineStateError("input streams exhausted")
-        self.latch_products(x_bits, y_bits)
-        self.load_inputs()
-        for step in range(self.config.lanes):
-            if observer is not None:
-                observer(self, step)
-            self.high_clock_step()
-        zp, zn = self.emit()
-        if observer is not None:
-            observer(self, self.config.lanes)
-        self.main_cycles += 1
-        return zp, zn
-
-    # -- bookkeeping helpers ------------------------------------------------
-
-    def inflight_sum(self):
-        """Signed content of the input shift registers."""
-        return int(self.shift_pos.sum()) - int(self.shift_neg.sum())
-
-    def carry_sum(self):
-        return self.carry_pos.ones() - self.carry_neg.ones()
-
-    def diagnostics(self):
-        return EngineDiagnostics(
-            cc_cancellations=self.cc_cancellations,
-            dropped_pos=self.dropped_pos,
-            dropped_neg=self.dropped_neg,
-            residual_pos=self.carry_pos.ones(),
-            residual_neg=self.carry_neg.ones(),
-        )
-
-
-def _check_vector(values, lanes, name):
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (lanes,):
-        raise ValueError(f"{name} must have exactly {lanes} entries")
-    if np.any(np.abs(arr) > 1.0):
-        raise ValueError(f"{name} entries must lie in [-1, 1]")
-    return arr
-
-
 def run_inner_product(x, y, config, rng, fault_schedule=None, trace_path=None):
     """Encode two vectors, run the engine for L cycles, decode nothing.
 
@@ -274,75 +75,21 @@ def run_inner_product(x, y, config, rng, fault_schedule=None, trace_path=None):
     ``decode_tlb(stream)``. Lane encoders draw from independent child
     sources of ``rng`` (x lanes first, then y lanes). ``fault_schedule``
     is an optional iterable of (cycle, cell) pairs; each named carry cell
-    is toggled at the start of that main-clock cycle.
+    is toggled at the start of that main-clock cycle, and a cell outside
+    [0, 2M) is a ValueError. ``trace_path`` writes the per-cycle trace CSV.
     """
-    k = config.lanes
-    x = _check_vector(x, k, "x")
-    y = _check_vector(y, k, "y")
-    sources = rng.spawn(2 * k)
-    length = config.stream_len
-    x_streams = [encode_tlb(x[i], length, sources[i]) for i in range(k)]
-    y_streams = [encode_tlb(y[i], length, sources[k + i]) for i in range(k)]
-    xp = np.stack([s.pos.bits for s in x_streams])
-    xn = np.stack([s.neg.bits for s in x_streams])
-    yp = np.stack([s.pos.bits for s in y_streams])
-    yn = np.stack([s.neg.bits for s in y_streams])
-
-    flips_by_cycle = {}
-    if fault_schedule is not None:
-        for cycle, cell in fault_schedule:
-            flips_by_cycle.setdefault(int(cycle), []).append(int(cell))
-
-    engine = InnerProductEngine(config)
-    out_pos = np.zeros(length, dtype=np.uint8)
-    out_neg = np.zeros(length, dtype=np.uint8)
-
-    writer = None
-    handle = None
-    observer = None
-    if trace_path is not None:
-        handle = open(trace_path, "w", newline="")
-        writer = csv.writer(handle)
-        writer.writerow(
-            (
-                "l",
-                "substep",
-                "ps_front",
-                "ns_front",
-                "pc_count",
-                "nc_count",
-                "zp",
-                "zn",
-                "cc_cancellations",
-            )
-        )
-
-        def observer(eng, substep):
-            writer.writerow(
-                (
-                    eng.main_cycles + 1,
-                    substep,
-                    int(eng.shift_pos[0]),
-                    int(eng.shift_neg[0]),
-                    eng.carry_pos.ones(),
-                    eng.carry_neg.ones(),
-                    eng.out_pos,
-                    eng.out_neg,
-                    eng.cc_cancellations,
-                )
-            )
-
-    try:
-        for l in range(length):
-            for cell in flips_by_cycle.get(l, ()):
-                engine.flip_carry_cell(cell)
-            x_bits = list(zip(xp[:, l].tolist(), xn[:, l].tolist()))
-            y_bits = list(zip(yp[:, l].tolist(), yn[:, l].tolist()))
-            zp, zn = engine.main_clock_cycle(x_bits, y_bits, observer=observer)
-            out_pos[l] = zp
-            out_neg[l] = zn
-    finally:
-        if handle is not None:
-            handle.close()
-
-    return TlbStream(out_pos, out_neg), engine.diagnostics()
+    if len(x) != config.lanes or len(y) != config.lanes:
+        raise ValueError(f"x and y must have exactly {config.lanes} entries")
+    products = encode_tlb_products(x, y, config.stream_len, rng)
+    out = engine_batch(
+        products[None],
+        config.carry_len,
+        cc_enabled=config.cc_enabled,
+        shift_direction=config.shift_direction,
+        fault_schedules=_one_trial_faults(fault_schedule),
+        trace_path=trace_path,
+    )
+    diagnostics = EngineDiagnostics(
+        **{f.name: int(out[f.name][0]) for f in fields(EngineDiagnostics)}
+    )
+    return TlbStream(out["emitted_pos"][0], out["emitted_neg"][0]), diagnostics

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import adder_oracle, tlb_from_ternary
 from scbit import (
     CarryShiftRegister,
     NonScaledAdder,
@@ -15,52 +16,6 @@ from scbit import (
     tlb_multiply,
     tlb_multiply_bit,
 )
-
-# ---------------------------------------------------------------------------
-# Independent brute-force interpreter of the adder update logic, used as the
-# golden model. Registers are plain lists; shift in inserts a one at the
-# front, shift out drops the front with zero fill at the back.
-# ---------------------------------------------------------------------------
-
-
-def adder_oracle(xs, ys, capacity):
-    pc = [0] * capacity
-    nc = [0] * capacity
-    zs = []
-    overflow = 0
-    for x, y in zip(xs, ys):
-        s = x + y
-        if s == 0:
-            z = pc[0] - nc[0]
-            pc = pc[1:] + [0]
-            nc = nc[1:] + [0]
-        elif s == 1:
-            z = 1 - nc[0]
-            nc = nc[1:] + [0]
-        elif s == -1:
-            z = pc[0] - 1
-            pc = pc[1:] + [0]
-        elif s == 2:
-            z = 1
-            if nc[0] == 1:
-                nc = nc[1:] + [0]
-            else:
-                overflow += pc[-1]
-                pc = [1] + pc[:-1]
-        else:
-            z = -1
-            if pc[0] == 1:
-                pc = pc[1:] + [0]
-            else:
-                overflow += nc[-1]
-                nc = [1] + nc[:-1]
-        zs.append(z)
-    return zs, sum(pc), sum(nc), overflow
-
-
-def tlb_from_ternary(values):
-    arr = np.asarray(values, dtype=np.int8)
-    return TlbStream((arr == 1).astype(np.uint8), (arr == -1).astype(np.uint8))
 
 
 # -- carry shift register ---------------------------------------------------

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import AdderTree, CounterAdderNode
 from scbit import (
-    AdderTree,
     CarryShiftRegister,
-    CounterAdderNode,
     RandomSource,
-    counter_add_step,
     decode_sm,
-    inject_counter_bit_flip,
     run_tree_inner_product,
     sm_multiply_bit,
     ternary_values,
@@ -34,14 +31,14 @@ def test_sm_multiply_bit_examples():
 
 def test_counter_step_examples():
     node = CounterAdderNode(4)
-    assert counter_add_step(node, 1, 1) == 1
+    assert node.step(1, 1) == 1
     assert node.counter == 1
     node = CounterAdderNode(4)
-    assert counter_add_step(node, 1, -1) == 0
+    assert node.step(1, -1) == 0
     assert node.counter == 0
     node = CounterAdderNode(4)
     node.counter = 2
-    assert counter_add_step(node, 0, 0) == 1  # drains stored carry
+    assert node.step(0, 0) == 1  # drains stored carry
     assert node.counter == 1
 
 
@@ -68,16 +65,16 @@ def test_counter_saturates():
 
 def test_counter_bit_flip_examples():
     node = CounterAdderNode(4)
-    inject_counter_bit_flip(node, 0)
+    node.flip_bit(0)
     assert node.counter == 1
     node.counter = 0
-    inject_counter_bit_flip(node, 3)
+    node.flip_bit(3)
     assert node.counter == -8  # two's-complement sign bit
     node.counter = 3
-    inject_counter_bit_flip(node, 1)
+    node.flip_bit(1)
     assert node.counter == 1
     with pytest.raises(IndexError):
-        inject_counter_bit_flip(node, 4)
+        node.flip_bit(4)
 
 
 def test_fault_sensitivity_asymmetry():
@@ -150,6 +147,7 @@ def test_run_tree_zero_inputs():
 def test_run_tree_padding():
     stream, _ = run_tree_inner_product([0.5, 0.2, -0.1], [0.4, 0.1, 0.3], 4, 500, RandomSource(2))
     assert stream.length == 500
+    assert run_tree_inner_product([0.5], [0.5], 4, 9, RandomSource(2))[0].length == 9
     with pytest.raises(ValueError):
         run_tree_inner_product(
             [0.5, 0.2, -0.1], [0.4, 0.1, 0.3], 4, 500, RandomSource(2), pad_lanes=False
@@ -192,3 +190,9 @@ def test_run_tree_fault_schedule():
     )
     assert decode_sm(clean) == 0.0
     assert decode_sm(hit) < 0.0
+    # cells outside [0, (K-1)*B), negative ones included, are rejected
+    for cell in (-1, 4):
+        with pytest.raises(ValueError, match="fault cells"):
+            run_tree_inner_product(
+                [0, 0], [0, 0], 4, 8, RandomSource(4), fault_schedule=[(0, cell)]
+            )

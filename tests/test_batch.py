@@ -1,5 +1,7 @@
 import hashlib
+import io
 import itertools
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbit import EngineConfig, RandomSource, run_inner_product, run_tree_inner_product
-from scbit import batch
+import oracles
+from scbit import EngineConfig, RandomSource, run_inner_product, tlb_multiply
+from scbit import batch, encode_tlb, ternary_values
 from scbit.batch import (
     canceler_batch,
     draw_fault_schedule,
@@ -45,6 +48,17 @@ def test_product_encoders_pinned(encode, lanes, stream_len, digest):
     out = encode(x, y, stream_len, RandomSource(2024))
     assert out.dtype == np.int8 and out.shape == (lanes, stream_len)
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+def test_tlb_products_are_lane_multiplier_outputs():
+    # lane k multiplies the streams of x[k] and y[k], drawn from child k and K + k
+    x, y = product_inputs(8)
+    sources = RandomSource(5).spawn(16)
+    want = [
+        ternary_values(tlb_multiply(encode_tlb(a, 300, sx), encode_tlb(b, 300, sy)))
+        for a, b, sx, sy in zip(x, y, sources[:8], sources[8:])
+    ]
+    assert np.array_equal(encode_tlb_products(x, y, 300, RandomSource(5)), want)
 
 
 @pytest.mark.parametrize("encode", [encode_tlb_products, encode_sm_products])
@@ -115,7 +129,39 @@ def test_merge_fault_schedules_orders_by_cycle():
     assert bits.tolist() == [3, 0, 2, 1]
 
 
-# -- engine batch vs scalar reference ----------------------------------------
+# -- engine batch vs the scalar oracle ------------------------------------------
+
+
+def engine_inputs(seed, config, p_flip):
+    """Lane values from ``seed`` and a fault schedule from ``seed + 1``."""
+    inputs = np.random.default_rng(seed)
+    x = inputs.uniform(-1, 1, config.lanes)
+    y = inputs.uniform(-1, 1, config.lanes)
+    cells = 2 * config.carry_len
+    return x, y, draw_fault_schedule(RandomSource(seed + 1), cells, config.stream_len, p_flip)
+
+
+def check_engine(seeds, config, p_flip=0.0, check=False):
+    """One engine_batch run over a trial per seed, each trial against the oracle."""
+    products, schedules = [], []
+    for seed in seeds:
+        x, y, schedule = engine_inputs(seed, config, p_flip)
+        products.append(encode_tlb_products(x, y, config.stream_len, RandomSource(seed)))
+        schedules.append(schedule)
+    out = engine_batch(
+        np.stack(products),
+        config.carry_len,
+        cc_enabled=config.cc_enabled,
+        shift_direction=config.shift_direction,
+        fault_schedules=merge_fault_schedules(schedules) if p_flip else None,
+        check_conservation=check,
+    )
+    for t, (lane_products, schedule) in enumerate(zip(products, schedules)):
+        stream, diag = oracles.run_engine(lane_products, config, zip(*schedule))
+        assert np.array_equal(out["emitted_pos"][t], stream.pos.bits)
+        assert np.array_equal(out["emitted_neg"][t], stream.neg.bits)
+        for f in fields(diag):
+            assert out[f.name][t] == getattr(diag, f.name), f.name
 
 
 @pytest.mark.parametrize("cc_enabled", (True, False))
@@ -126,52 +172,17 @@ def test_engine_batch_matches_scalar(cc_enabled, direction):
         lanes = int(rng.integers(1, 6))
         carry_len = int(rng.integers(1, 5))
         stream_len = int(rng.integers(20, 120))
-        x = rng.uniform(-1, 1, lanes)
-        y = rng.uniform(-1, 1, lanes)
-        seed = int(rng.integers(0, 2**32))
         config = EngineConfig(
             lanes, carry_len, stream_len, cc_enabled=cc_enabled, shift_direction=direction
         )
-        stream, diag = run_inner_product(x, y, config, RandomSource(seed))
-
-        products = encode_tlb_products(x, y, stream_len, RandomSource(seed))
-        out = engine_batch(
-            products[None],
-            carry_len,
-            cc_enabled=cc_enabled,
-            shift_direction=direction,
-        )
-        assert (out["emitted_pos"][0] == stream.pos.bits).all()
-        assert (out["emitted_neg"][0] == stream.neg.bits).all()
-        assert out["dropped_pos"][0] + out["dropped_neg"][0] == diag.overflow_events
-        assert out["cc_cancellations"][0] == diag.cc_cancellations
-        assert out["residual_pos"][0] == diag.residual_pos
-        assert out["residual_neg"][0] == diag.residual_neg
+        check_engine([int(rng.integers(0, 2**32))], config)
 
 
 def test_engine_batch_matches_scalar_under_faults():
     rng = np.random.default_rng(22)
     for trial in range(4):
-        lanes = int(rng.integers(1, 5))
-        carry_len = int(rng.integers(2, 5))
-        stream_len = 80
-        x = rng.uniform(-1, 1, lanes)
-        y = rng.uniform(-1, 1, lanes)
-        seed = int(rng.integers(0, 2**32))
-        schedule = draw_fault_schedule(
-            RandomSource(seed + 1), 2 * carry_len, stream_len, 0.1
-        )
-        config = EngineConfig(lanes, carry_len, stream_len)
-        stream, diag = run_inner_product(
-            x, y, config, RandomSource(seed), fault_schedule=zip(*schedule)
-        )
-        products = encode_tlb_products(x, y, stream_len, RandomSource(seed))
-        out = engine_batch(
-            products[None], carry_len, fault_schedules=merge_fault_schedules([schedule])
-        )
-        assert (out["emitted_pos"][0] == stream.pos.bits).all()
-        assert (out["emitted_neg"][0] == stream.neg.bits).all()
-        assert out["cc_cancellations"][0] == diag.cc_cancellations
+        config = EngineConfig(int(rng.integers(1, 5)), int(rng.integers(2, 5)), 80)
+        check_engine([int(rng.integers(0, 2**32))], config, p_flip=0.1)
 
 
 def test_engine_batch_multi_trial_stacking():
@@ -192,56 +203,50 @@ def test_engine_batch_conservation_flag():
     engine_batch(products, 32, cc_enabled=False, check_conservation=True)
 
 
-@given(
+# K in [1, 64]; M in [1, 10] spans both carry steppers (table while 2M <= 16)
+engine_configs = st.builds(
+    EngineConfig,
     lanes=st.integers(1, 64),
     carry_len=st.integers(1, 10),
     stream_len=st.integers(1, 40),
-    direction=st.sampled_from(("opposite", "same")),
     cc_enabled=st.booleans(),
+    shift_direction=st.sampled_from(("opposite", "same")),
+)
+# cycles per delivery pass, through the chunk size in trial*cycle*lane elements
+chunks = st.sampled_from((1, 64, 1 << 16))
+
+
+@given(
+    config=engine_configs,
     p_flip=st.floats(0.0, 0.2),
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
-    chunk=st.sampled_from((1, 64, 1 << 16)),
+    chunk=chunks,
     check=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_engine_batch_matches_scalar_property(
-    lanes, carry_len, stream_len, direction, cc_enabled, p_flip, seeds, chunk, check
-):
-    # M in [1, 10] spans both carry steppers (table while 2M <= 16);
-    # ``chunk`` sets how many cycles share one delivery pass
-    config = EngineConfig(
-        lanes, carry_len, stream_len, cc_enabled=cc_enabled, shift_direction=direction
-    )
-    products, schedules, scalar = [], [], []
-    for seed in seeds:
-        inputs = np.random.default_rng(seed)
-        x = inputs.uniform(-1, 1, lanes)
-        y = inputs.uniform(-1, 1, lanes)
-        schedule = draw_fault_schedule(
-            RandomSource(seed + 1), 2 * carry_len, stream_len, p_flip
-        )
-        scalar.append(
-            run_inner_product(x, y, config, RandomSource(seed), fault_schedule=zip(*schedule))
-        )
-        products.append(encode_tlb_products(x, y, stream_len, RandomSource(seed)))
-        schedules.append(schedule)
+def test_engine_batch_matches_scalar_property(config, p_flip, seeds, chunk, check):
     with mock.patch.object(batch, "_CHUNK_ELEMENTS", chunk):
-        out = engine_batch(
-            np.stack(products),
-            carry_len,
-            cc_enabled=cc_enabled,
-            shift_direction=direction,
-            fault_schedules=merge_fault_schedules(schedules),
-            check_conservation=check,
-        )
-    for t, (stream, diag) in enumerate(scalar):
-        assert np.array_equal(out["emitted_pos"][t], stream.pos.bits)
-        assert np.array_equal(out["emitted_neg"][t], stream.neg.bits)
-        assert out["dropped_pos"][t] == diag.dropped_pos
-        assert out["dropped_neg"][t] == diag.dropped_neg
-        assert out["cc_cancellations"][t] == diag.cc_cancellations
-        assert out["residual_pos"][t] == diag.residual_pos
-        assert out["residual_neg"][t] == diag.residual_neg
+        check_engine(seeds, config, p_flip, check)
+
+
+@given(
+    config=engine_configs,
+    p_flip=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=chunks,
+)
+@settings(max_examples=60, deadline=None)
+def test_trace_matches_oracle_observer(tmp_path_factory, config, p_flip, seed, chunk):
+    # the single-shot trace, built from the kernel's own data, equals the
+    # oracle observer's byte for byte
+    x, y, schedule = engine_inputs(seed, config, p_flip)
+    path = tmp_path_factory.mktemp("trace") / "batch.csv"
+    with mock.patch.object(batch, "_CHUNK_ELEMENTS", chunk):
+        run_inner_product(x, y, config, RandomSource(seed), zip(*schedule), trace_path=path)
+    products = encode_tlb_products(x, y, config.stream_len, RandomSource(seed))
+    oracle = io.StringIO(newline="")
+    oracles.run_engine(products, config, zip(*schedule), oracles.trace_observer(oracle))
+    assert path.read_bytes() == oracle.getvalue().encode()
 
 
 @given(
@@ -289,51 +294,60 @@ def test_engine_batch_rejects_bad_fault_cells():
         engine_batch(np.zeros((1, 2, 3), np.int8), 2, fault_schedules=faults)
 
 
-# -- tree batch vs scalar reference ------------------------------------------
+# -- tree batch vs the scalar oracle --------------------------------------------
+
+
+def assert_tree_matches_oracle(out, t, products, width, schedule=()):
+    emitted, saturations, residual = oracles.run_tree(products, width, zip(*schedule))
+    assert np.array_equal(out["emitted"][t], emitted)
+    assert out["saturation_events"][t] == saturations
+    assert out["residual_sum"][t] == residual
+
+
+def check_tree(rng, lanes, width, stream_len, p_flip=0.0, top_bit_flips=False):
+    """One random trial of tree_batch against the oracle."""
+    x = rng.uniform(-1, 1, lanes)
+    y = rng.uniform(-1, 1, lanes)
+    seed = int(rng.integers(0, 2**32))
+    products = encode_sm_products(x, y, stream_len, RandomSource(seed))
+    cycles, cells = draw_fault_schedule(
+        RandomSource(seed + 9), (lanes - 1) * width, stream_len, p_flip
+    )
+    if top_bit_flips:  # the top bits of the first and the root counter, at cycle 5
+        cycles = np.concatenate([cycles, [5, 5]])
+        cells = np.concatenate([cells, [width - 1, 3 * width - 1]])
+    faults = merge_fault_schedules([(cycles, cells)])
+    out = tree_batch(products[None], width, fault_schedules=faults)
+    assert_tree_matches_oracle(out, 0, products, width, faults[1:])
 
 
 def test_tree_batch_matches_scalar():
     rng = np.random.default_rng(25)
     for trial in range(5):
         lanes = int(rng.choice([2, 4, 8]))
-        width = int(rng.integers(2, 6))
-        stream_len = int(rng.integers(30, 150))
-        x = rng.uniform(-1, 1, lanes)
-        y = rng.uniform(-1, 1, lanes)
-        seed = int(rng.integers(0, 2**32))
-        stream, diag = run_tree_inner_product(
-            x, y, width, stream_len, RandomSource(seed)
-        )
-        products = encode_sm_products(x, y, stream_len, RandomSource(seed))
-        out = tree_batch(products[None], width)
-        got = out["emitted"][0]
-        want = (1 - 2 * stream.sign.bits.astype(np.int8)) * stream.magnitude.bits
-        assert (got == want).all()
-        assert out["saturation_events"][0] == diag.saturation_events
-        assert out["residual_sum"][0] == diag.residual_sum
+        check_tree(rng, lanes, int(rng.integers(2, 6)), int(rng.integers(30, 150)))
 
 
 def test_tree_batch_matches_scalar_under_faults():
     rng = np.random.default_rng(26)
     for trial in range(4):
-        lanes = 4
-        width = 4
-        stream_len = 80
-        x = rng.uniform(-1, 1, lanes)
-        y = rng.uniform(-1, 1, lanes)
-        seed = int(rng.integers(0, 2**32))
-        schedule = draw_fault_schedule(
-            RandomSource(seed + 9), (lanes - 1) * width, stream_len, 0.1
-        )
-        stream, _ = run_tree_inner_product(
-            x, y, width, stream_len, RandomSource(seed), fault_schedule=zip(*schedule)
-        )
-        products = encode_sm_products(x, y, stream_len, RandomSource(seed))
-        out = tree_batch(
-            products[None], width, fault_schedules=merge_fault_schedules([schedule])
-        )
-        want = (1 - 2 * stream.sign.bits.astype(np.int8)) * stream.magnitude.bits
-        assert (out["emitted"][0] == want).all()
+        check_tree(rng, 4, 4, 80, p_flip=0.1)
+
+
+@pytest.mark.parametrize("width", (16, 17, 20))
+def test_tree_batch_wide_counters_match_scalar(width):
+    # int16 counters would wrap: a top-bit flip moves a counter by 2^(width-1)
+    rng = np.random.default_rng(26)
+    for trial in range(4):
+        check_tree(rng, 4, width, 80, p_flip=0.1, top_bit_flips=True)
+
+
+def test_tree_batch_rejects_bad_widths():
+    products = np.ones((1, 4, 3), np.int8)
+    for width in (0, -1, 63):
+        with pytest.raises(ValueError, match="width"):
+            tree_batch(products, width)
+    assert_tree_matches_oracle(tree_batch(products, 61), 0, products[0], 61)
 
 
 def test_tree_batch_rejects_bad_fault_cells():
@@ -370,33 +384,18 @@ def test_tree_batch_rejects_bad_lanes():
 
 
 def canceler_reference(hold_p, hold_n, direction, cc):
-    """Independent scalar model of the load + drain sequence."""
+    """The oracle engine's drain sequence, after the load-path canceling."""
     k = len(hold_p)
-    ph = list(hold_p)
-    nh = list(hold_n)
-    if cc:
-        for i in range(k):
-            if ph[i] and nh[i]:
-                ph[i] = nh[i] = 0
-    ps = ph[:]
-    ns = nh[::-1] if direction == "opposite" else nh[:]
+    config = EngineConfig(k, 1, 1, cc_enabled=cc, shift_direction=direction)
+    engine = oracles.InnerProductEngine(config)
+    both = np.array(hold_p) & np.array(hold_n) if cc else 0
+    engine.hold_pos[:] = np.array(hold_p) ^ both
+    engine.hold_neg[:] = np.array(hold_n) ^ both
+    engine.load_inputs()
     delivered = []
     for _ in range(k):
-        delivered.append((ps[0], ns[0]))
-        new_ps = [0] * k
-        new_ns = [0] * k
-        for i in range(k - 1):
-            if not cc:
-                mask_p = mask_n = 0
-            elif direction == "opposite":
-                mask_p = ns[k - 1 - i]
-                mask_n = ps[k - 1 - i]
-            else:
-                mask_p = ns[i + 1]
-                mask_n = ps[i + 1]
-            new_ps[i] = ps[i + 1] & (1 - mask_p)
-            new_ns[i] = ns[i + 1] & (1 - mask_n)
-        ps, ns = new_ps, new_ns
+        delivered.append((int(engine.shift_pos[0]), int(engine.shift_neg[0])))
+        engine._shift_inputs()
     return delivered
 
 

@@ -145,6 +145,16 @@ def test_inner_product_baseline_design(tmp_path, capsys):
     assert "estimate" in stdout
 
 
+@pytest.mark.parametrize("bits, code", [("17", 0), ("0", 2), ("62", 2)])
+def test_baseline_counter_widths(tmp_path, capsys, bits, code):
+    # counters wider than int16 run; widths below 1 or too wide exit 2 on one line
+    got, _, err = run_cli(
+        capsys, "sweep", "fault", "--design", "baseline", "--counter-bits", bits,
+        "--lanes", "4", "--len", "50", "--trials", "5", "--out", str(tmp_path / "f.csv"),
+    )
+    assert got == code and err.count("\n") == (code == 2) and "Traceback" not in err
+
+
 def test_inner_product_length_mismatch(tmp_path, capsys):
     xf = write_vector(tmp_path / "x.txt", [0.5])
     yf = write_vector(tmp_path / "y.txt", [0.5, 0.1])

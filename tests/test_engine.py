@@ -1,29 +1,12 @@
 import numpy as np
 import pytest
 
-from scbit import (
-    EngineConfig,
-    EngineStateError,
-    InnerProductEngine,
-    RandomSource,
-    carry_cancel,
-    decode_tlb,
-    run_inner_product,
-)
+from oracles import PAIR, EngineStateError, InnerProductEngine, carry_cancel, drive_cycle
+from scbit import EngineConfig, RandomSource, decode_tlb, run_inner_product
 
 
 def make_engine(lanes=2, carry_len=4, stream_len=16, **kw):
     return InnerProductEngine(EngineConfig(lanes, carry_len, stream_len, **kw))
-
-
-PAIR = {1: (1, 0), 0: (0, 0), -1: (0, 1)}
-
-
-def drive_cycle(engine, products):
-    """One main cycle from given lane product ternaries (y lanes all one)."""
-    x_bits = [PAIR[v] for v in products]
-    y_bits = [(1, 0)] * len(products)
-    return engine.main_clock_cycle(x_bits, y_bits)
 
 
 # -- combinational cells ----------------------------------------------------
@@ -251,6 +234,8 @@ def test_run_fault_schedule_applied():
     )
     assert stream.pos.bits[0] == 1
     assert stream.pos.popcount() == 1
+    with pytest.raises(ValueError, match="fault cells"):
+        run_inner_product([0.0], [0.0], config, RandomSource(3), fault_schedule=[(0, 8)])
 
 
 # -- conservation law -------------------------------------------------------
