@@ -3,9 +3,13 @@
 These run many independent trials in lockstep on numpy arrays (one row
 per trial). The sweeps run hundreds of trials at once; the single-shot
 runs ``run_inner_product`` and ``run_tree_inner_product`` run one, and
-the per-cycle trace is written by ``engine_batch``. The test suite checks
-the kernels bit for bit against independent scalar oracles of the
-hardware, including under injected faults.
+the per-cycle trace is written by ``engine_batch``. Each mechanism is
+written once: the canceler sweep (``canceler_batch``), the accumulation
+rule of the carry registers (``_accumulate``, which the transition table
+of narrow registers memoizes), the counter node update (``tree_batch``)
+and the split of a fault schedule by cycle (``_flips_by_cycle``). The test
+suite checks the kernels bit for bit against independent scalar oracles of
+the hardware, including under injected faults.
 """
 
 import contextlib
@@ -129,66 +133,91 @@ def merge_fault_schedules(schedules):
     return trial_ids[order], cycles[order], bits[order]
 
 
+def _flips_by_cycle(fault_schedules, n_cycles, n_cells):
+    """Split batch fault arrays by cycle: None or the (trials, cells) toggled.
+
+    Raises ValueError if a cell lies outside [0, n_cells).
+    """
+    flips = [None] * n_cycles
+    if fault_schedules is None:
+        return flips
+    f_trials, f_cycles, f_cells = fault_schedules
+    if len(f_cells) and (f_cells.min() < 0 or f_cells.max() >= n_cells):
+        raise ValueError(f"fault cells must lie in [0, {n_cells})")
+    starts = np.searchsorted(f_cycles, np.arange(n_cycles + 1))
+    for cycle in np.flatnonzero(starts[1:] > starts[:-1]):
+        lo, hi = starts[cycle], starts[cycle + 1]
+        flips[cycle] = (f_trials[lo:hi], f_cells[lo:hi])
+    return flips
+
+
 # The packed carry state of 2M bits is stepped by table gathers up to this
-# width; the table holds 16 * 4**M entries, so wider registers fall back to
-# bit arrays.
+# width; the table holds 16 * 4**M entries, so wider registers step the rule
+# itself on integer registers.
 _TABLE_MAX_BITS = 16
 # trial * cycle * lane elements per chunk of cycles; bounds the working set
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def _ones(values, width):
-    """Count of set bits among the low ``width`` bits of each value."""
+def _popcount(values):
+    """Set bits of every value as int64; registers above 64 cells are Python ints."""
+    if values.dtype != object:
+        return np.bitwise_count(values).astype(np.int64)
     count = np.zeros(values.shape, dtype=np.int64)
-    for bit in range(width):
-        count += (values >> bit) & 1
+    while values.any():
+        count += np.bitwise_count((values & (1 << 64) - 1).astype(np.uint64))
+        values = values >> 64
     return count
+
+
+def _accumulate(pc, nc, op, m):
+    """The accumulation rule: one step of the two M-bit carry registers.
+
+    ``pc`` and ``nc`` hold the registers with cell i at bit i; cell 0 is
+    the front. ``op`` 0, 1, 2 delivers the front pair -1, 0, +1 and 3
+    emits. Works elementwise on integer arrays and on Python ints. Returns
+    (pc, nc, flag_p, flag_n); the flags are the (+1, -1) carries a delivery
+    pushed off the back, or the (zp, zn) pair an emission put out.
+    """
+    cp = pc & 1
+    cn = nc & 1
+    emit = op == 3
+    # shift-in: a delivery the other front cannot cancel enters at the front
+    # and the back cell falls off
+    p_in = (op == 2) & (cn ^ 1)
+    n_in = (op == 0) & (cp ^ 1)
+    # shift-out, a literal shift toward the front with zero fill: a front
+    # cancels a delivery or is emitted, or a zero delivery finds both fronts equal
+    drain = (op == 1) & (cp ^ cn ^ 1)
+    p_out = drain | cp & ((op == 0) | emit)
+    n_out = drain | cn & ((op == 2) | emit)
+    mask = (1 << m) - 1
+    return (
+        (pc << p_in | p_in) >> p_out & mask,
+        (nc << n_in | n_in) >> n_out & mask,
+        pc >> (m - 1) & p_in | cp & emit,
+        nc >> (m - 1) & n_in | cn & emit,
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def _carry_table(m):
-    """Transition table of the two carry registers packed as ``pc | nc << M``.
+    """``_accumulate`` over every state of the registers packed as ``pc | nc << M``.
 
-    Bit i of each M-bit half is register cell i; cell 0 is the front. An
-    entry is a packed state with two flag bits above it. For ``op`` 0, 1, 2
-    (delivered front pair -1, 0, +1) and 3 (emission),
-    ``step[op << (2M + 2) | entry]`` is the entry after ``op`` acts on the
-    entry's state; its flags are the (+1, -1) carries a delivery pushed off
-    the back, or the (zp, zn) pair an emission put out. The flags of the
-    input entry are ignored. ``counts[:, state]`` is the pair of carry
-    counts (popcount(pc), popcount(nc)). Built on first use per M; read-only.
+    An entry is a packed state with two flag bits above it. For ``op`` 0 to
+    3, ``step[op << (2M + 2) | entry]`` is the entry after ``op`` acts on the
+    entry's state, with the step's flags; the flags of the input entry are
+    ignored. Built on first use per M; read-only.
     """
-    width = 2 * m
-    mask = (1 << m) - 1
-    state = np.arange(1 << width, dtype=np.int32)
-    pc = state & mask
-    nc = state >> m
-    cp = pc & 1
-    cn = nc & 1
-
-    def pack(p, n, flag_pos=0, flag_neg=0):
-        return p | n << m | flag_pos << width | flag_neg << (width + 1)
-
-    # shift-in: a one enters at the front and the back cell falls off;
-    # shift-out: a literal shift toward the front with zero fill
-    pc_in = (pc << 1 | 1) & mask
-    nc_in = (nc << 1 | 1) & mask
-    pc_out = pc >> 1
-    nc_out = nc >> 1
-    after = np.stack(
-        [
-            np.where(cp == 1, pack(pc_out, nc), pack(pc, nc_in, 0, nc >> (m - 1))),
-            np.where(cp == cn, pack(pc_out, nc_out), state),
-            np.where(cn == 1, pack(pc, nc_out), pack(pc_in, nc, pc >> (m - 1))),
-            pack(np.where(cp == 1, pc_out, pc), np.where(cn == 1, nc_out, nc), cp, cn),
-        ]
-    )
+    state = np.arange(4**m)
+    after = []
+    for op in range(4):
+        pc, nc, flag_p, flag_n = _accumulate(state & ((1 << m) - 1), state >> m, op, m)
+        after.append(pc | nc << m | flag_p << 2 * m | flag_n << (2 * m + 1))
     # one copy per value of the two input flag bits
-    step = np.repeat(after, 4, axis=0).reshape(-1)
-    counts = np.stack([_ones(pc, m), _ones(nc, m)])
+    step = np.repeat(np.stack(after).astype(np.int32), 4, axis=0).reshape(-1)
     step.flags.writeable = False
-    counts.flags.writeable = False
-    return step, counts
+    return step
 
 
 class _PackedCarry:
@@ -196,12 +225,13 @@ class _PackedCarry:
 
     def __init__(self, m, n_trials):
         self.m = m
-        self.step, self.counts_of = _carry_table(m)
+        self.step = _carry_table(m)
         self.op_shift = 2 * m + 2
         self.entry = np.zeros(n_trials, dtype=np.int32)
 
     def _counts(self, entries):
-        return self.counts_of[:, entries & ((1 << 2 * self.m) - 1)]
+        halves = np.array([0, self.m], dtype=np.int32).reshape((2,) + (1,) * entries.ndim)
+        return _popcount(entries >> halves & (1 << self.m) - 1)
 
     def run(self, deliveries, flips, faulted, want_counts):
         """Step the carry registers through one chunk of cycles.
@@ -240,73 +270,47 @@ class _PackedCarry:
         return tuple(self._counts(self.entry))
 
 
-def _csr_shift(reg, do_in, do_out):
-    """Apply front shift-in / back-fill shift-out per trial.
+class _WideCarry:
+    """Carry registers as (pc, nc) integer rows, for 2M above the table width.
 
-    ``do_in`` and ``do_out`` are disjoint boolean masks over trials.
-    Returns the new registers and the carries pushed off the back end.
+    A register is a uint64 up to 64 cells and a Python int above. A batch
+    of one trial steps plain Python ints, free of numpy's per-call cost.
     """
-    shifted_in = np.empty_like(reg)
-    shifted_in[:, 0] = 1
-    shifted_in[:, 1:] = reg[:, :-1]
-    shifted_out = np.empty_like(reg)
-    shifted_out[:, :-1] = reg[:, 1:]
-    shifted_out[:, -1] = 0
-    dropped = do_in * reg[:, -1]
-    return np.where(do_in[:, None], shifted_in, np.where(do_out[:, None], shifted_out, reg)), dropped
-
-
-class _BitCarry:
-    """Carry registers as (trials, M) bit arrays, for 2M above the table width."""
 
     def __init__(self, m, n_trials):
         self.m = m
-        self.pc = np.zeros((n_trials, m), dtype=np.int8)
-        self.nc = np.zeros((n_trials, m), dtype=np.int8)
-
-    def _counts(self):
-        return np.stack([self.pc.sum(axis=1, dtype=np.int64), self.nc.sum(axis=1, dtype=np.int64)])
+        self.regs = np.zeros((2, n_trials), dtype=np.uint64 if m <= 64 else object)
 
     def run(self, deliveries, flips, faulted, want_counts):
         """Same contract as ``_PackedCarry.run``."""
         lanes, n_cycles, n_trials = deliveries.shape
         m = self.m
+        regs = self.regs
         flags = np.empty((n_cycles, lanes + 1, n_trials), dtype=np.int8)
         counts = np.empty((2,) + flags.shape, dtype=np.int64) if want_counts else None
-        no_shift = np.zeros(n_trials, dtype=bool)
+        ops = (deliveries + 1).transpose(1, 0, 2)
+        single = n_trials == 1
+        if single:
+            ops = ops[..., 0].tolist()
         for i in range(n_cycles):
             if flips[i] is not None:
-                trials, bits = flips[i]
-                before = self._counts()
-                in_pc = bits < m
-                np.bitwise_xor.at(self.pc, (trials[in_pc], bits[in_pc]), 1)
-                np.bitwise_xor.at(self.nc, (trials[~in_pc], bits[~in_pc] - m), 1)
-                faulted[:, i] = self._counts() - before
+                trials, cells = flips[i]
+                before = _popcount(regs)
+                np.bitwise_xor.at(regs, (cells // m, trials), 1 << (cells % m).astype(regs.dtype))
+                faulted[:, i] = _popcount(regs) - before
+            pc, nc = regs[:, 0].tolist() if single else regs
+            row = ops[i]
             for s in range(lanes + 1):
-                cp = self.pc[:, 0]
-                cn = self.nc[:, 0]
-                if s < lanes:
-                    x = deliveries[s, i]
-                    x0c0 = (x == 0) & (cp == cn)
-                    pc_in = (x == 1) & (cn == 0)
-                    nc_in = (x == -1) & (cp == 0)
-                    pc_out = x0c0 | ((x == -1) & (cp == 1))
-                    nc_out = x0c0 | ((x == 1) & (cn == 1))
-                else:  # emission: the fronts leave as the output pair
-                    pc_in = nc_in = no_shift
-                    pc_out = cp == 1
-                    nc_out = cn == 1
-                    flags[i, s] = cp | cn << 1
-                self.pc, drop_p = _csr_shift(self.pc, pc_in, pc_out)
-                self.nc, drop_n = _csr_shift(self.nc, nc_in, nc_out)
-                if s < lanes:
-                    flags[i, s] = drop_p | drop_n << 1
+                pc, nc, flag_p, flag_n = _accumulate(pc, nc, row[s] if s < lanes else 3, m)
+                flags[i, s] = flag_p | flag_n << 1
                 if want_counts:
-                    counts[:, i, s] = self._counts()
+                    counts[:, i, s] = _popcount(np.array([pc, nc], regs.dtype)).reshape(2, -1)
+            regs[0] = pc
+            regs[1] = nc
         return flags, counts
 
     def residuals(self):
-        return tuple(self._counts())
+        return tuple(_popcount(self.regs))
 
 
 def _unbalanced(where, trial, lhs, rhs):
@@ -421,9 +425,11 @@ def engine_batch(
     chunk of cycles runs in two stages. ``canceler_batch`` first computes
     the front pair delivered at each of the K high-clock steps of every
     cycle in the chunk at once. The carry registers then step through those
-    deliveries in order: packed into one integer per trial and advanced by
-    table gathers while 2M <= 16, as bit arrays above that. A fault XORs
-    its cell at the start of its cycle.
+    deliveries in order by the rule ``_accumulate``: packed into one
+    integer per trial and advanced by gathers from its memo table while
+    2M <= 16, and above that by the rule itself on integer registers
+    (uint64 up to M = 64, Python ints above). A fault XORs its cell at the
+    start of its cycle.
 
     Every run ends with a per-trial ledger of signed units, loaded =
     emitted + stored + dropped_pos - dropped_neg - (stored change caused
@@ -439,15 +445,10 @@ def engine_batch(
         raise ValueError("carry_len must be >= 1")
     if trace_path is not None and n_trials != 1:
         raise ValueError("a trace covers a batch of exactly one trial")
-    carry = (_PackedCarry if 2 * m <= _TABLE_MAX_BITS else _BitCarry)(m, n_trials)
+    carry = (_PackedCarry if 2 * m <= _TABLE_MAX_BITS else _WideCarry)(m, n_trials)
     trace = None
     want_counts = check_conservation or trace_path is not None
-
-    if fault_schedules is not None:
-        f_trials, f_cycles, f_bits = fault_schedules
-        if len(f_bits) and (f_bits.min() < 0 or f_bits.max() >= 2 * m):
-            raise ValueError(f"fault cells must lie in [0, {2 * m})")
-        starts = np.searchsorted(f_cycles, np.arange(n_cycles + 1))
+    flips = _flips_by_cycle(fault_schedules, n_cycles, 2 * m)
 
     emitted_p = np.zeros((n_trials, n_cycles), dtype=np.int8)
     emitted_n = np.zeros((n_trials, n_cycles), dtype=np.int8)
@@ -480,14 +481,8 @@ def engine_batch(
             deliveries = (dp.T - dn.T).reshape(lanes, n_c, n_trials)
 
             # stage 2: the carry registers, in step order
-            flips = [None] * n_c
-            if fault_schedules is not None:
-                for i in range(n_c):
-                    lo, hi = starts[c0 + i], starts[c0 + i + 1]
-                    if hi > lo:
-                        flips[i] = (f_trials[lo:hi], f_bits[lo:hi])
             faulted_c = np.zeros((2, n_c, n_trials), dtype=np.int64)
-            flags, counts = carry.run(deliveries, flips, faulted_c, want_counts)
+            flags, counts = carry.run(deliveries, flips[c0:c1], faulted_c, want_counts)
 
             loaded_c = block.sum(axis=1, dtype=np.int64).T
             if check_conservation:
@@ -590,26 +585,16 @@ def tree_batch(products, counter_width, fault_schedules=None):
     removed = np.zeros((n_trials, nodes), dtype=np.int64)
     faulted = np.zeros(n_trials, dtype=np.int64)
 
-    if fault_schedules is not None:
-        f_trials, f_cycles, f_bits = fault_schedules
-        if len(f_bits) and (f_bits.min() < 0 or f_bits.max() >= nodes * width):
-            raise ValueError(f"fault cells must lie in [0, {nodes * width})")
-        starts = np.searchsorted(f_cycles, np.arange(n_cycles + 1))
-    else:
-        starts = None
-
+    flips = _flips_by_cycle(fault_schedules, n_cycles, nodes * width)
     for cycle in range(n_cycles):
-        if starts is not None:
-            lo, hi = starts[cycle], starts[cycle + 1]
-            if hi > lo:
-                # toggle the raw two's-complement bits, then sign-extend
-                cells = f_trials[lo:hi], f_bits[lo:hi] // width
-                masks = (1 << (f_bits[lo:hi] % width)).astype(dtype)
-                raw = counters & (wrap - 1)
-                np.bitwise_xor.at(raw, cells, masks)
-                raw -= (raw >= half) * wrap
-                faulted += (raw - counters).sum(axis=1, dtype=np.int64)
-                counters[:] = raw
+        if flips[cycle] is not None:
+            # toggle the raw two's-complement bits, then sign-extend
+            trials, cells = flips[cycle]
+            raw = counters & (wrap - 1)
+            np.bitwise_xor.at(raw, (trials, cells // width), (1 << cells % width).astype(dtype))
+            raw -= (raw >= half) * wrap
+            faulted += (raw - counters).sum(axis=1, dtype=np.int64)
+            counters[:] = raw
 
         # a level reads only its own counters, so all levels clamp at once
         values = products[:, :, cycle].astype(dtype)

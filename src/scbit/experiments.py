@@ -249,45 +249,35 @@ def _draw_trial_vectors(rng, lanes, input_scale):
 
 def _simulate_trials(payload):
     """Worker for one chunk of trials; pure function of its payload."""
-    (
-        design,
-        lanes,
-        capacity,
-        stream_len,
-        input_scale,
-        p_flip,
-        cc_enabled,
-        shift_direction,
-        trial_sequences,
-    ) = payload
+    cfg, trial_sequences = payload
     n = len(trial_sequences)
     truths = np.zeros(n, dtype=np.float64)
-    products = np.zeros((n, lanes, stream_len), dtype=np.int8)
-    n_bits = 2 * capacity if design == "novel" else (lanes - 1) * capacity
+    products = np.zeros((n, cfg.lanes, cfg.stream_len), dtype=np.int8)
+    n_bits = 2 * cfg.capacity if cfg.design == "novel" else (cfg.lanes - 1) * cfg.capacity
     schedules = []
     for i, seq in enumerate(trial_sequences):
         vec_seq, enc_seq, fault_seq = seq.spawn(3)
         vec_rng = RandomSource(_sequence=vec_seq)
-        x, y, z = _draw_trial_vectors(vec_rng, lanes, input_scale)
+        x, y, z = _draw_trial_vectors(vec_rng, cfg.lanes, cfg.input_scale)
         truths[i] = z
         enc_rng = RandomSource(_sequence=enc_seq)
-        if design == "novel":
-            products[i] = encode_tlb_products(x, y, stream_len, enc_rng)
+        if cfg.design == "novel":
+            products[i] = encode_tlb_products(x, y, cfg.stream_len, enc_rng)
         else:
-            products[i] = encode_sm_products(x, y, stream_len, enc_rng)
-        if p_flip > 0.0:
+            products[i] = encode_sm_products(x, y, cfg.stream_len, enc_rng)
+        if cfg.p_flip > 0.0:
             fault_rng = RandomSource(_sequence=fault_seq)
-            schedules.append(draw_fault_schedule(fault_rng, n_bits, stream_len, p_flip))
+            schedules.append(draw_fault_schedule(fault_rng, n_bits, cfg.stream_len, cfg.p_flip))
         else:
             schedules.append(None)
-    faults = merge_fault_schedules(schedules) if p_flip > 0.0 else None
+    faults = merge_fault_schedules(schedules) if cfg.p_flip > 0.0 else None
 
-    if design == "novel":
+    if cfg.design == "novel":
         out = engine_batch(
             products,
-            capacity,
-            cc_enabled=cc_enabled,
-            shift_direction=shift_direction,
+            cfg.capacity,
+            cc_enabled=cfg.cc_enabled,
+            shift_direction=cfg.shift_direction,
             fault_schedules=faults,
         )
         emitted = out["emitted_pos"].sum(axis=1, dtype=np.int64) - out[
@@ -296,11 +286,11 @@ def _simulate_trials(payload):
         overflow = out["dropped_pos"] + out["dropped_neg"]
         cc = out["cc_cancellations"]
     else:
-        out = tree_batch(products, capacity, fault_schedules=faults)
+        out = tree_batch(products, cfg.capacity, fault_schedules=faults)
         emitted = out["emitted"].sum(axis=1, dtype=np.int64)
         overflow = out["saturation_events"]
         cc = np.zeros(n, dtype=np.int64)
-    estimates = emitted / stream_len
+    estimates = emitted / cfg.stream_len
     return estimates, truths, overflow, cc
 
 
@@ -326,17 +316,7 @@ def run_point(cfg):
     chunks = max(1, min(cfg.jobs, cfg.trials, _usable_cpus()))
     bounds = np.linspace(0, cfg.trials, chunks + 1, dtype=int)
     payloads = [
-        (
-            cfg.design,
-            cfg.lanes,
-            cfg.capacity,
-            cfg.stream_len,
-            cfg.input_scale,
-            cfg.p_flip,
-            cfg.cc_enabled,
-            cfg.shift_direction,
-            trial_sequences[lo:hi],
-        )
+        (cfg, trial_sequences[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]

@@ -307,7 +307,7 @@ def read_stream_csv(path):
     """Read a trace CSV back; returns (format_name, stream)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         body = [[int(v) for v in row] for row in reader if row]
     if not body:
         raise ValueError(f"empty stream file: {path}")

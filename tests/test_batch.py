@@ -257,6 +257,7 @@ def test_trace_matches_oracle_observer(tmp_path_factory, config, p_flip, seed, c
 )
 @settings(max_examples=30, deadline=None)
 def test_table_and_bit_array_steppers_agree(carry_len, lanes, p_flip, seed):
+    # the table stepper against the wide stepper, which a zero table width forces
     rng = np.random.default_rng(seed)
     trials, stream_len = 4, 50
     products = rng.integers(-1, 2, size=(trials, lanes, stream_len)).astype(np.int8)
@@ -273,14 +274,43 @@ def test_table_and_bit_array_steppers_agree(carry_len, lanes, p_flip, seed):
         assert np.array_equal(table[key], bits[key]), key
 
 
+# sha256 of the carry table bytes per M: any change to the rule or its packing shows
+CARRY_TABLE_SHA256 = {
+    1: "a24b0af0d6f651b560e9d9a0094db96f9a14be6bd6d55e5f1da2c33114d47810",
+    2: "81e7e8f665976014a461b87d4531045f593811cf4cdd365d0b08a5e0ac23208a",
+    3: "384306698ddf66abaab05bf773474628775862b1dca3d9018c4b40bd7b5d0613",
+    4: "f391a1bc357400669d4ba2b249be402ff2c629473b3cb7dda48c7cbb2836c9ba",
+    5: "f5f0e69a6e78b88c0ad975314a21b6ed7cb1929b74ef523bd26dfa00222d44e2",
+    6: "2dc4121d9bac08fa2ce0563e6456287bed7fa5c1d307d50a483ecad06b0bf739",
+    7: "4f785fe8396fb376739e9edf39ac5cec0a628061ed8dbd09e509150e84db9b68",
+    8: "046800dfded93978891faa15a18f26cb0192fe116dc353c2623165982d1a7803",
+}
+
+
+@pytest.mark.parametrize("m", sorted(CARRY_TABLE_SHA256))
+def test_carry_table_pinned(m):
+    step = batch._carry_table(m)
+    assert step.dtype == np.int32 and step.shape == (16 * 4**m,)
+    assert hashlib.sha256(step.tobytes()).hexdigest() == CARRY_TABLE_SHA256[m]
+
+
+# the wide stepper's register dtype changes from uint64 to Python ints above 64
+# cells; a batch of one trial steps Python ints at every width
+@pytest.mark.parametrize("carry_len", (9, 32, 33, 64, 65))
+@pytest.mark.parametrize("n_trials", (1, 3))
+def test_wide_engine_matches_scalar_under_faults(carry_len, n_trials):
+    config = EngineConfig(5, carry_len, 150, cc_enabled=carry_len % 2 == 1)
+    seeds = [carry_len * 10 + t for t in range(n_trials)]
+    check_engine(seeds, config, p_flip=0.05, check=True)
+
+
 def test_engine_ledger_catches_lost_units(monkeypatch):
     # a stepper whose emissions stop reporting their bits loses units
     m = 3
-    step, stored = batch._carry_table(m)
-    broken = step.copy()
+    broken = batch._carry_table(m).copy()
     emission = slice(3 << (2 * m + 2), 4 << (2 * m + 2))
     broken[emission] &= (1 << 2 * m) - 1
-    monkeypatch.setattr(batch, "_carry_table", lambda _: (broken, stored))
+    monkeypatch.setattr(batch, "_carry_table", lambda _: broken)
     products = np.ones((2, 2, 20), dtype=np.int8)
     with pytest.raises(RuntimeError, match="at end of run"):
         engine_batch(products, m)

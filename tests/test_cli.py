@@ -80,6 +80,15 @@ def test_decode_missing_file(capsys):
     assert code == 2
 
 
+def test_decode_empty_file(tmp_path, capsys):
+    # a zero-byte file has no header row either
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    code, _, err = run_cli(capsys, "decode", str(path))
+    assert code == 2
+    assert "empty stream file" in err
+
+
 def test_decode_format_mismatch(tmp_path, capsys):
     out = tmp_path / "s.csv"
     run_cli(capsys, "encode", "--format", "tlb", "--value", "0.25",
