@@ -4,8 +4,6 @@ engine with carry canceling, and a counter-tree comparison design."""
 
 from .adder import (
     AdderDiagnostics,
-    CarryShiftRegister,
-    NonScaledAdder,
     nonscaled_add,
     tlb_multiply,
     tlb_multiply_bit,
@@ -46,11 +44,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdderDiagnostics",
     "BitStream",
-    "CarryShiftRegister",
     "EngineConfig",
     "EngineDiagnostics",
     "ExperimentConfig",
-    "NonScaledAdder",
     "RandomSource",
     "SmStream",
     "SweepResult",

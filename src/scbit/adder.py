@@ -4,7 +4,10 @@ The non-scaled adder emits the true per-position sum of two ternary
 streams instead of their average. Excess units that cannot be represented
 in a single ternary output symbol are buffered as pending carries in two
 shift registers (one for +1 carries, one for -1 carries) and drained or
-canceled on later positions.
+canceled on later positions. ``nonscaled_add`` runs it as a batch of one
+pair of ``batch.adder_batch``, which holds the two registers as one signed
+count; ``tests/oracles.py`` keeps the register-level model it is checked
+against.
 """
 
 import csv
@@ -12,72 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import adder_batch
 from .convert import sm_to_tlb_bit, tlb_to_sm_bit
 from .streams import TlbStream, ternary_values
 
 __all__ = [
-    "CarryShiftRegister",
     "AdderDiagnostics",
-    "NonScaledAdder",
     "nonscaled_add",
     "tlb_multiply_bit",
     "tlb_multiply",
 ]
-
-
-class CarryShiftRegister:
-    """Length-M shift register storing pending carry bits.
-
-    cells[0] is the front (the end read by the update logic and the output
-    stage). A carry enters by shifting a one in at the front; a carry
-    leaves by shifting a zero in at the back. Fault-free contents are a
-    thermometer code (ones packed at the front), but the cells are stored
-    literally so injected faults behave like real storage upsets:
-    shift operations stay literal shifts regardless of the pattern.
-
-    Shifting a one into a full register drops the bit falling off the back
-    and counts an overflow event (saturation).
-    """
-
-    __slots__ = ("capacity", "cells", "overflow_events")
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("register capacity must be at least 1")
-        self.capacity = int(capacity)
-        self.cells = [0] * self.capacity
-        self.overflow_events = 0
-
-    def front(self):
-        return self.cells[0]
-
-    def shift_in(self):
-        """Insert a carry at the front; saturating on a full register."""
-        dropped = self.cells[-1]
-        self.cells[:] = [1] + self.cells[:-1]
-        if dropped:
-            self.overflow_events += 1
-        return dropped
-
-    def shift_out(self):
-        """Literal shift toward the front with zero fill at the back."""
-        self.cells[:] = self.cells[1:] + [0]
-
-    def ones(self):
-        return sum(self.cells)
-
-    def flip_cell(self, index):
-        """Fault hook: toggle one storage cell."""
-        if not 0 <= index < self.capacity:
-            raise IndexError(f"cell {index} out of range for capacity {self.capacity}")
-        self.cells[index] ^= 1
-
-    def is_thermometer(self):
-        k = self.ones()
-        return all(self.cells[i] == (1 if i < k else 0) for i in range(self.capacity))
-
-    def __repr__(self):
-        return f"CarryShiftRegister({''.join(map(str, self.cells))})"
 
 
 @dataclass
@@ -113,108 +60,36 @@ def tlb_multiply(x, y):
     return TlbStream(zm & (zs ^ np.uint8(1)), zm & zs)
 
 
-class NonScaledAdder:
-    """Stepwise update logic of the shift-register non-scaled adder.
-
-    Per position, on the ternary input symbols x and y with s = x + y:
-
-    * s ==  0: emit pc[0] - nc[0]; both registers shift out
-    * s == +1: emit 1 - nc[0]; nc shifts out
-    * s == -1: emit pc[0] - 1; pc shifts out
-    * s == +2: emit +1; cancel a stored -1 if nc[0] == 1, else store a +1
-    * s == -2: emit -1; cancel a stored +1 if pc[0] == 1, else store a -1
-    """
-
-    def __init__(self, capacity):
-        self.pos_carries = CarryShiftRegister(capacity)
-        self.neg_carries = CarryShiftRegister(capacity)
-
-    def step(self, x, y):
-        pc = self.pos_carries
-        nc = self.neg_carries
-        s = x + y
-        if s == 0:
-            z = pc.front() - nc.front()
-            pc.shift_out()
-            nc.shift_out()
-        elif s == 1:
-            z = 1 - nc.front()
-            nc.shift_out()
-        elif s == -1:
-            z = pc.front() - 1
-            pc.shift_out()
-        elif s == 2:
-            z = 1
-            if nc.front():
-                nc.shift_out()
-            else:
-                pc.shift_in()
-        else:  # s == -2
-            z = -1
-            if pc.front():
-                pc.shift_out()
-            else:
-                nc.shift_in()
-        return z
-
-    @property
-    def overflow_events(self):
-        return self.pos_carries.overflow_events + self.neg_carries.overflow_events
-
-    def stored_sum(self):
-        """Signed number of pending carry units."""
-        return self.pos_carries.ones() - self.neg_carries.ones()
-
-
-_TERNARY_TO_PAIR = {1: (1, 0), 0: (0, 0), -1: (0, 1)}
-
-
 def nonscaled_add(x, y, capacity, trace_path=None):
     """Add two TLB streams without scaling; returns (stream, diagnostics).
 
-    Residual carries left in the registers after the last position are
-    reported in the diagnostics, not folded into the output stream.
+    A batch of one pair of ``adder_batch``. Residual carries left in the
+    registers after the last position are reported in the diagnostics, not
+    folded into the output stream. ``trace_path`` writes one CSV row per
+    position with the register counts and the overflow events so far.
     """
     if x.length != y.length:
         raise ValueError("adder input streams must have equal length")
-    adder = NonScaledAdder(capacity)
     xt = ternary_values(x)
     yt = ternary_values(y)
-    length = x.length
-    pos_bits = np.zeros(length, dtype=np.uint8)
-    neg_bits = np.zeros(length, dtype=np.uint8)
-
-    writer = None
-    handle = None
+    emitted, stored, overflows = adder_batch(xt[None], yt[None], capacity)
+    z = emitted[0]
+    count = stored[0]
     if trace_path is not None:
-        handle = open(trace_path, "w", newline="")
-        writer = csv.writer(handle)
-        writer.writerow(("l", "x", "y", "z", "pc_count", "nc_count", "overflows"))
-    try:
-        for l, (xv, yv) in enumerate(zip(xt.tolist(), yt.tolist())):
-            z = adder.step(xv, yv)
-            p, n = _TERNARY_TO_PAIR[z]
-            pos_bits[l] = p
-            neg_bits[l] = n
-            if writer is not None:
-                writer.writerow(
-                    (
-                        l + 1,
-                        xv,
-                        yv,
-                        z,
-                        adder.pos_carries.ones(),
-                        adder.neg_carries.ones(),
-                        adder.overflow_events,
-                    )
-                )
-    finally:
-        if handle is not None:
-            handle.close()
-
+        # an overflow drops a unit: the count then moves by other than s - z
+        events = np.cumsum(np.diff(count, prepend=0) != xt + yt - z)
+        rows = np.stack([
+            np.arange(1, len(z) + 1), xt, yt, z, np.maximum(count, 0), np.maximum(-count, 0),
+            events,
+        ])
+        with open(trace_path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("l", "x", "y", "z", "pc_count", "nc_count", "overflows"))
+            writer.writerows(rows.T.tolist())
+    residual = int(count[-1])
     diagnostics = AdderDiagnostics(
-        overflow_events=adder.overflow_events,
-        residual_pos=adder.pos_carries.ones(),
-        residual_neg=adder.neg_carries.ones(),
+        overflow_events=int(overflows[0]),
+        residual_pos=max(residual, 0),
+        residual_neg=max(-residual, 0),
     )
-    return TlbStream(pos_bits, neg_bits), diagnostics
+    return TlbStream((z == 1).view(np.uint8), (z == -1).view(np.uint8)), diagnostics

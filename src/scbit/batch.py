@@ -1,15 +1,19 @@
-"""Trial-vectorized kernels: the one implementation of both designs.
+"""Trial-vectorized kernels: the one implementation of both designs and
+of the non-scaled adder.
 
 These run many independent trials in lockstep on numpy arrays (one row
 per trial). The sweeps run hundreds of trials at once; the single-shot
-runs ``run_inner_product`` and ``run_tree_inner_product`` run one, and
-the per-cycle trace is written by ``engine_batch``. Each mechanism is
-written once: the canceler sweep (``canceler_batch``), the accumulation
-rule of the carry registers (``_accumulate``, which the transition table
-of narrow registers memoizes), the counter node update (``tree_batch``)
-and the split of a fault schedule by cycle (``_flips_by_cycle``). The test
-suite checks the kernels bit for bit against independent scalar oracles of
-the hardware, including under injected faults.
+runs ``run_inner_product``, ``run_tree_inner_product`` and
+``nonscaled_add`` run one, and the per-cycle trace is written by
+``engine_batch``. Each mechanism is written once: the canceler sweep
+(``canceler_batch``), the accumulation rule of the carry registers
+(``_accumulate``, which the transition table of narrow registers
+memoizes), the counter node update (``tree_batch``), the signed carry
+count of the non-scaled adder (``adder_batch``), the saturating clamp the
+tree and the adder share (``_clamp``) and the split of a fault schedule by
+cycle (``_flips_by_cycle``). The test suite checks the kernels bit for bit
+against independent scalar oracles of the hardware, including under
+injected faults.
 """
 
 import contextlib
@@ -28,6 +32,7 @@ __all__ = [
     "merge_fault_schedules",
     "engine_batch",
     "tree_batch",
+    "adder_batch",
     "canceler_batch",
     "TRACE_COLUMNS",
 ]
@@ -136,7 +141,8 @@ def merge_fault_schedules(schedules):
 def _flips_by_cycle(fault_schedules, n_cycles, n_cells):
     """Split batch fault arrays by cycle: None or the (trials, cells) toggled.
 
-    Raises ValueError if a cell lies outside [0, n_cells).
+    Raises ValueError if a cell lies outside [0, n_cells) or a cycle outside
+    [0, n_cycles); the cycles are sorted.
     """
     flips = [None] * n_cycles
     if fault_schedules is None:
@@ -144,6 +150,8 @@ def _flips_by_cycle(fault_schedules, n_cycles, n_cells):
     f_trials, f_cycles, f_cells = fault_schedules
     if len(f_cells) and (f_cells.min() < 0 or f_cells.max() >= n_cells):
         raise ValueError(f"fault cells must lie in [0, {n_cells})")
+    if len(f_cycles) and (f_cycles[0] < 0 or f_cycles[-1] >= n_cycles):
+        raise ValueError(f"fault cycles must lie in [0, {n_cycles})")
     starts = np.searchsorted(f_cycles, np.arange(n_cycles + 1))
     for cycle in np.flatnonzero(starts[1:] > starts[:-1]):
         lo, hi = starts[cycle], starts[cycle + 1]
@@ -620,6 +628,45 @@ def tree_batch(products, counter_width, fault_schedules=None):
     }
 
 
+def adder_batch(x, y, capacity):
+    """Run the shift-register non-scaled adder over a batch of stream pairs.
+
+    ``x``, ``y``: (pairs, positions) ternary symbols. The adder keeps its
+    pending carries in a +1 and a -1 shift register of M = ``capacity`` cells.
+    Fault-free, both hold thermometer codes and at most one of them is
+    non-empty, so the pair is exactly a signed count c in [-M, M]: the
+    +1 register holds max(c, 0) ones and the -1 register max(-c, 0). Per
+    position, with s = x + y, the adder emits z = clamp(s + sign(c), -1, 1)
+    and keeps c + s - z, saturated at +-M; every clamp is an overflow event.
+
+    Returns (emitted, stored, overflow_events): the (pairs, positions) int8
+    output symbols, the signed stored count after every position and the
+    per-pair overflow events. Every run ends with a per-pair ledger of
+    signed units, loaded = emitted + stored + units removed by the clamp,
+    and raises RuntimeError on a mismatch.
+    """
+    x = np.asarray(x, dtype=np.int8)
+    y = np.asarray(y, dtype=np.int8)
+    if x.shape != y.shape or x.ndim != 2:
+        raise ValueError("adder inputs must share a (pairs, positions) shape")
+    if capacity < 1:
+        raise ValueError("register capacity must be at least 1")
+    n_pairs, length = x.shape
+    # position-major, so that every position is one contiguous row of pairs
+    sums = np.ascontiguousarray((x.astype(np.int64) + y).T)
+    emitted = np.empty_like(sums)
+    stored = np.empty_like(sums)
+    removed = np.empty_like(sums)
+    count = np.zeros(n_pairs, dtype=np.int64)
+    for pos in range(length):
+        z = emitted[pos]
+        np.minimum(np.maximum(sums[pos] + np.sign(count), -1, out=z), 1, out=z)
+        removed[pos] = _clamp(count + sums[pos] - z, capacity, stored[pos])
+        count = stored[pos]
+    _check_ledger(sums.sum(axis=0), emitted.sum(axis=0) + count + removed.sum(axis=0))
+    return emitted.T.astype(np.int8), stored.T, np.count_nonzero(removed, axis=0)
+
+
 def canceler_batch(
     hold_pos, hold_neg, shift_direction="opposite", cc_enabled=True, per_step=False
 ):
@@ -647,6 +694,8 @@ def canceler_batch(
     hold_neg = np.asarray(hold_neg, dtype=np.int8)
     if hold_pos.shape != hold_neg.shape or hold_pos.ndim != 2:
         raise ValueError("hold bit planes must share a (trials, lanes) shape")
+    if shift_direction not in ("opposite", "same"):
+        raise ValueError("shift_direction must be 'opposite' or 'same'")
     lanes = hold_pos.shape[1]
     opposite = shift_direction == "opposite"
 

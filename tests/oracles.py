@@ -1,13 +1,123 @@
 """Scalar oracles of the designs: one register and one clock edge at a
-time, independent of the trial-batched kernels in ``scbit.batch`` and of
-the adder, which the tests check against them bit for bit."""
+time, independent of the trial-batched kernels in ``scbit.batch``, which
+the tests check against them bit for bit. The carry shift register and the
+non-scaled adder are kept cell by cell here; the adder kernel holds the
+adder's two registers as one signed count."""
 
 import csv
 
 import numpy as np
 
-from scbit import CarryShiftRegister, EngineDiagnostics, TlbStream, tlb_multiply_bit
+from scbit import EngineDiagnostics, TlbStream, tlb_multiply_bit
 from scbit.batch import TRACE_COLUMNS
+
+
+class CarryShiftRegister:
+    """Length-M shift register storing pending carry bits.
+
+    cells[0] is the front (the end read by the update logic and the output
+    stage). A carry enters by shifting a one in at the front; a carry
+    leaves by shifting a zero in at the back. Fault-free contents are a
+    thermometer code (ones packed at the front), but the cells are stored
+    literally so injected faults behave like real storage upsets:
+    shift operations stay literal shifts regardless of the pattern.
+
+    Shifting a one into a full register drops the bit falling off the back
+    and counts an overflow event (saturation).
+    """
+
+    __slots__ = ("capacity", "cells", "overflow_events")
+
+    def __init__(self, capacity):
+        if capacity < 1:
+            raise ValueError("register capacity must be at least 1")
+        self.capacity = int(capacity)
+        self.cells = [0] * self.capacity
+        self.overflow_events = 0
+
+    def front(self):
+        return self.cells[0]
+
+    def shift_in(self):
+        """Insert a carry at the front; saturating on a full register."""
+        dropped = self.cells[-1]
+        self.cells[:] = [1] + self.cells[:-1]
+        if dropped:
+            self.overflow_events += 1
+        return dropped
+
+    def shift_out(self):
+        """Literal shift toward the front with zero fill at the back."""
+        self.cells[:] = self.cells[1:] + [0]
+
+    def ones(self):
+        return sum(self.cells)
+
+    def flip_cell(self, index):
+        """Fault hook: toggle one storage cell."""
+        if not 0 <= index < self.capacity:
+            raise IndexError(f"cell {index} out of range for capacity {self.capacity}")
+        self.cells[index] ^= 1
+
+    def is_thermometer(self):
+        k = self.ones()
+        return all(self.cells[i] == (1 if i < k else 0) for i in range(self.capacity))
+
+    def __repr__(self):
+        return f"CarryShiftRegister({''.join(map(str, self.cells))})"
+
+
+class NonScaledAdder:
+    """Stepwise update logic of the shift-register non-scaled adder.
+
+    Per position, on the ternary input symbols x and y with s = x + y:
+
+    * s ==  0: emit pc[0] - nc[0]; both registers shift out
+    * s == +1: emit 1 - nc[0]; nc shifts out
+    * s == -1: emit pc[0] - 1; pc shifts out
+    * s == +2: emit +1; cancel a stored -1 if nc[0] == 1, else store a +1
+    * s == -2: emit -1; cancel a stored +1 if pc[0] == 1, else store a -1
+    """
+
+    def __init__(self, capacity):
+        self.pos_carries = CarryShiftRegister(capacity)
+        self.neg_carries = CarryShiftRegister(capacity)
+
+    def step(self, x, y):
+        pc = self.pos_carries
+        nc = self.neg_carries
+        s = x + y
+        if s == 0:
+            z = pc.front() - nc.front()
+            pc.shift_out()
+            nc.shift_out()
+        elif s == 1:
+            z = 1 - nc.front()
+            nc.shift_out()
+        elif s == -1:
+            z = pc.front() - 1
+            pc.shift_out()
+        elif s == 2:
+            z = 1
+            if nc.front():
+                nc.shift_out()
+            else:
+                pc.shift_in()
+        else:  # s == -2
+            z = -1
+            if pc.front():
+                pc.shift_out()
+            else:
+                nc.shift_in()
+        return z
+
+    @property
+    def overflow_events(self):
+        return self.pos_carries.overflow_events + self.neg_carries.overflow_events
+
+    def stored_sum(self):
+        """Signed number of pending carry units."""
+        return self.pos_carries.ones() - self.neg_carries.ones()
 
 
 class EngineStateError(RuntimeError):

@@ -1,12 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adder_oracle, tlb_from_ternary
+from oracles import CarryShiftRegister, NonScaledAdder, adder_oracle, tlb_from_ternary
 from scbit import (
-    CarryShiftRegister,
-    NonScaledAdder,
     RandomSource,
     TlbStream,
     decode_tlb,
@@ -16,6 +16,7 @@ from scbit import (
     tlb_multiply,
     tlb_multiply_bit,
 )
+from scbit.batch import adder_batch
 
 
 # -- carry shift register ---------------------------------------------------
@@ -209,9 +210,43 @@ def test_adder_trace_csv(tmp_path):
 
 
 @given(
-    st.lists(st.integers(-1, 1), min_size=1, max_size=24),
+    st.lists(st.integers(-1, 1), min_size=1, max_size=60),
     st.data(),
-    st.integers(1, 4),
+    st.integers(1, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_adder_trace_matches_oracle(tmp_path_factory, xs, data, capacity):
+    # trace rows against the register-level adder stepped one position at a time
+    ys = data.draw(st.lists(st.integers(-1, 1), min_size=len(xs), max_size=len(xs)))
+    path = tmp_path_factory.mktemp("trace") / "adder.csv"
+    nonscaled_add(tlb_from_ternary(xs), tlb_from_ternary(ys), capacity, trace_path=path)
+    adder = NonScaledAdder(capacity)
+    want = [["l", "x", "y", "z", "pc_count", "nc_count", "overflows"]]
+    for l, (x, y) in enumerate(zip(xs, ys)):
+        z = adder.step(x, y)
+        counts = (adder.pos_carries.ones(), adder.neg_carries.ones(), adder.overflow_events)
+        want.append([str(v) for v in (l + 1, x, y, z) + counts])
+    with open(path, newline="") as handle:
+        assert list(csv.reader(handle)) == want
+
+
+def test_adder_rejects_bad_capacity():
+    x = tlb_from_ternary([1, 1])
+    with pytest.raises(ValueError, match="capacity"):
+        nonscaled_add(x, x, 0)
+    with pytest.raises(ValueError, match="capacity"):
+        adder_batch(np.ones((2, 3), np.int8), np.ones((2, 3), np.int8), 0)
+    with pytest.raises(ValueError, match="shape"):
+        adder_batch(np.ones((2, 3), np.int8), np.ones((2, 4), np.int8), 2)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-1, 1), min_size=1, max_size=24),
+        st.lists(st.integers(-1, 1), min_size=25, max_size=300),
+    ),
+    st.data(),
+    st.one_of(st.integers(1, 4), st.integers(5, 70)),
 )
 @settings(max_examples=120, deadline=None)
 def test_adder_matches_oracle(xs, data, capacity):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import AdderTree, CounterAdderNode
+from oracles import AdderTree, CarryShiftRegister, CounterAdderNode
 from scbit import (
-    CarryShiftRegister,
     RandomSource,
     decode_sm,
     run_tree_inner_product,

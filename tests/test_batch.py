@@ -13,6 +13,7 @@ import oracles
 from scbit import EngineConfig, RandomSource, run_inner_product, tlb_multiply
 from scbit import batch, encode_tlb, ternary_values
 from scbit.batch import (
+    adder_batch,
     canceler_batch,
     draw_fault_schedule,
     encode_sm_products,
@@ -322,6 +323,19 @@ def test_engine_batch_rejects_bad_fault_cells():
     faults = (np.array([0]), np.array([0]), np.array([4]))
     with pytest.raises(ValueError):
         engine_batch(np.zeros((1, 2, 3), np.int8), 2, fault_schedules=faults)
+    # a flip outside the run's cycles would be dropped silently
+    for cycle in (-1, 5, 99):
+        faults = (np.array([0]), np.array([cycle]), np.array([0]))
+        with pytest.raises(ValueError, match="fault cycles"):
+            engine_batch(np.ones((1, 2, 5), np.int8), 2, fault_schedules=faults)
+
+
+def test_engine_batch_rejects_bad_shift_direction():
+    products = np.ones((1, 3, 4), np.int8)
+    with pytest.raises(ValueError, match="shift_direction"):
+        engine_batch(products, 2, shift_direction="sideways")
+    with pytest.raises(ValueError, match="shift_direction"):
+        canceler_batch(np.ones((1, 3), np.int8), np.ones((1, 3), np.int8), "sideways")
 
 
 # -- tree batch vs the scalar oracle --------------------------------------------
@@ -390,19 +404,33 @@ def test_tree_batch_rejects_bad_fault_cells():
             tree_batch(products, 4, fault_schedules=faults)
     faults = (np.array([0]), np.array([0]), np.array([11]))
     tree_batch(products, 4, fault_schedules=faults)
+    for cycle in (-1, 3, 99):
+        faults = (np.array([0]), np.array([cycle]), np.array([0]))
+        with pytest.raises(ValueError, match="fault cycles"):
+            tree_batch(products, 4, fault_schedules=faults)
+
+
+def clamp_unreported(pending, c_max, out):
+    """A clamp that stops reporting the units it removes."""
+    np.clip(pending, -c_max, c_max, out=out)
+    return np.zeros_like(pending)
 
 
 def test_tree_ledger_catches_lost_units(monkeypatch):
-    # a clamp that stops reporting the units it removes breaks the ledger
-    def clamp_unreported(pending, c_max, out):
-        np.clip(pending, -c_max, c_max, out=out)
-        return np.zeros_like(pending)
-
     products = np.ones((2, 4, 20), dtype=np.int8)
     tree_batch(products, 2)
     monkeypatch.setattr(batch, "_clamp", clamp_unreported)
     with pytest.raises(RuntimeError, match="at end of run"):
         tree_batch(products, 2)
+
+
+def test_adder_ledger_catches_lost_units(monkeypatch):
+    # a run of +1 pairs overflows a 2-cell register
+    x = np.ones((2, 20), dtype=np.int8)
+    assert adder_batch(x, x, 2)[2].tolist() == [18, 18]
+    monkeypatch.setattr(batch, "_clamp", clamp_unreported)
+    with pytest.raises(RuntimeError, match="at end of run"):
+        adder_batch(x, x, 2)
 
 
 def test_tree_batch_rejects_bad_lanes():
