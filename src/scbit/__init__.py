@@ -8,8 +8,8 @@ from .adder import (
     tlb_multiply,
     tlb_multiply_bit,
 )
-from .baseline import TreeDiagnostics, run_tree_inner_product, sm_multiply_bit
-from .convert import sm_to_tlb, sm_to_tlb_bit, tlb_to_sm, tlb_to_sm_bit
+from .baseline import TreeDiagnostics, run_tree_inner_product
+from .convert import sm_multiply_bit, sm_to_tlb, sm_to_tlb_bit, tlb_to_sm, tlb_to_sm_bit
 from .engine import EngineConfig, EngineDiagnostics, run_inner_product
 from .experiments import (
     ExperimentConfig,

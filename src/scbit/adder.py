@@ -1,5 +1,9 @@
 """TLB multiplier and the shift-register-based non-scaled adder.
 
+The multiplier converts its TLB inputs to SM, multiplies them and converts
+back, through the bit functions of ``convert.py``; on uint8 arrays the same
+functions give the whole product stream.
+
 The non-scaled adder emits the true per-position sum of two ternary
 streams instead of their average. Excess units that cannot be represented
 in a single ternary output symbol are buffered as pending carries in two
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import adder_batch
-from .convert import sm_to_tlb_bit, tlb_to_sm_bit
+from .convert import sm_multiply_bit, sm_to_tlb_bit, tlb_to_sm_bit
 from .streams import TlbStream, ternary_values
 
 __all__ = [
@@ -39,25 +43,17 @@ class AdderDiagnostics:
 def tlb_multiply_bit(xp, xn, yp, yn):
     """One-position TLB product: convert to SM, multiply, convert back.
 
-    The SM core is a sign XOR and a magnitude AND. The returned pair is
-    canonical and satisfies vp - vn == (xp - xn) * (yp - yn).
+    The returned pair is canonical and satisfies
+    vp - vn == (xp - xn) * (yp - yn). Works on bits and on uint8 arrays.
     """
-    xs, xm = tlb_to_sm_bit(xp, xn)
-    ys, ym = tlb_to_sm_bit(yp, yn)
-    return sm_to_tlb_bit(xs ^ ys, xm & ym)
+    return sm_to_tlb_bit(*sm_multiply_bit(*tlb_to_sm_bit(xp, xn), *tlb_to_sm_bit(yp, yn)))
 
 
 def tlb_multiply(x, y):
     """Position-wise TLB product stream."""
     if x.length != y.length:
         raise ValueError("multiplier input streams must have equal length")
-    xs = x.neg.bits
-    xm = x.pos.bits ^ x.neg.bits
-    ys = y.neg.bits
-    ym = y.pos.bits ^ y.neg.bits
-    zs = xs ^ ys
-    zm = xm & ym
-    return TlbStream(zm & (zs ^ np.uint8(1)), zm & zs)
+    return TlbStream(*tlb_multiply_bit(x.pos.bits, x.neg.bits, y.pos.bits, y.neg.bits))
 
 
 def nonscaled_add(x, y, capacity, trace_path=None):

@@ -11,12 +11,15 @@ output, keep the remainder in the counter, saturate symmetrically at
 experiment metadata.
 
 The tree is implemented once, in ``batch.tree_batch``;
-``run_tree_inner_product`` runs it on a batch of one trial.
+``run_tree_inner_product`` runs it on a batch of one trial. The lane
+multiplier's SM product, ``sm_multiply_bit``, lives in ``convert.py`` with
+the format converters and is re-exported here.
 """
 
 from dataclasses import dataclass
 
 from .batch import _one_trial_faults, encode_sm_products, tree_batch
+from .convert import sm_multiply_bit
 
 # encode_sm is unused here, but perfbench/tracer.py wraps it by this name
 from .streams import SmStream, encode_sm  # noqa: F401
@@ -26,11 +29,6 @@ __all__ = [
     "sm_multiply_bit",
     "run_tree_inner_product",
 ]
-
-
-def sm_multiply_bit(xs, xm, ys, ym):
-    """One-position SM product: sign XOR, magnitude AND."""
-    return xs ^ ys, xm & ym
 
 
 @dataclass

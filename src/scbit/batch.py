@@ -22,6 +22,8 @@ import functools
 
 import numpy as np
 
+from .convert import sm_multiply_bit
+
 # ternary_values is unused here, but perfbench/tracer.py wraps it by this name
 from .streams import encode_sm, encode_tlb, ternary_values  # noqa: F401
 
@@ -77,9 +79,8 @@ def encode_sm_products(x, y, stream_len, rng):
     streams = _lane_streams(encode_sm, x, y, stream_len, rng)
     sign = _stack([s.sign.bits for s in streams], stream_len)
     mag = _stack([s.magnitude.bits for s in streams], stream_len)
-    prod_sign = (sign[:k] ^ sign[k:]).view(np.int8)
-    prod_mag = (mag[:k] & mag[k:]).view(np.int8)
-    return (1 - 2 * prod_sign) * prod_mag
+    prod_sign, prod_mag = sm_multiply_bit(sign[:k], mag[:k], sign[k:], mag[k:])
+    return (1 - 2 * prod_sign.view(np.int8)) * prod_mag.view(np.int8)
 
 
 def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
@@ -114,7 +115,8 @@ def merge_fault_schedules(schedules):
     """Combine per-trial (cycles, bits) schedules into batch-ready arrays.
 
     Returns (trials, cycles, bits) sorted by cycle; ``schedules`` may
-    contain None entries for fault-free trials.
+    contain None entries for fault-free trials. A trial whose cycle and bit
+    arrays differ in length is a ValueError.
     """
     trial_ids = []
     cycles = []
@@ -123,6 +125,10 @@ def merge_fault_schedules(schedules):
         if schedule is None:
             continue
         cyc, bit = schedule
+        if len(cyc) != len(bit):
+            raise ValueError(
+                f"trial {trial}: {len(cyc)} fault cycles but {len(bit)} fault bits"
+            )
         if len(cyc) == 0:
             continue
         trial_ids.append(np.full(len(cyc), trial, dtype=np.int64))
@@ -141,17 +147,22 @@ def merge_fault_schedules(schedules):
 def _flips_by_cycle(fault_schedules, n_cycles, n_cells):
     """Split batch fault arrays by cycle: None or the (trials, cells) toggled.
 
-    Raises ValueError if a cell lies outside [0, n_cells) or a cycle outside
-    [0, n_cycles); the cycles are sorted.
+    Raises ValueError if the three arrays differ in length, a cell lies
+    outside [0, n_cells), a cycle outside [0, n_cycles), or the cycles are
+    not sorted.
     """
     flips = [None] * n_cycles
     if fault_schedules is None:
         return flips
-    f_trials, f_cycles, f_cells = fault_schedules
+    f_trials, f_cycles, f_cells = (np.asarray(a, dtype=np.int64) for a in fault_schedules)
+    if not len(f_trials) == len(f_cycles) == len(f_cells):
+        raise ValueError("fault trials, cycles and cells must have equal lengths")
     if len(f_cells) and (f_cells.min() < 0 or f_cells.max() >= n_cells):
         raise ValueError(f"fault cells must lie in [0, {n_cells})")
-    if len(f_cycles) and (f_cycles[0] < 0 or f_cycles[-1] >= n_cycles):
+    if len(f_cycles) and (f_cycles.min() < 0 or f_cycles.max() >= n_cycles):
         raise ValueError(f"fault cycles must lie in [0, {n_cycles})")
+    if (np.diff(f_cycles) < 0).any():
+        raise ValueError("fault cycles must be sorted")
     starts = np.searchsorted(f_cycles, np.arange(n_cycles + 1))
     for cycle in np.flatnonzero(starts[1:] > starts[:-1]):
         lo, hi = starts[cycle], starts[cycle + 1]

@@ -22,32 +22,7 @@ from .experiments import (
     run_fault_sweep,
 )
 from .rng import RandomSource
-from .streams import (
-    decode_bipolar,
-    decode_sm,
-    decode_tlb,
-    decode_unipolar,
-    encode_bipolar,
-    encode_sm,
-    encode_tlb,
-    encode_unipolar,
-    read_stream_csv,
-    write_stream_csv,
-)
-
-_ENCODERS = {
-    "unipolar": encode_unipolar,
-    "bipolar": encode_bipolar,
-    "sm": encode_sm,
-    "tlb": encode_tlb,
-}
-
-_DECODERS = {
-    "unipolar": decode_unipolar,
-    "bipolar": decode_bipolar,
-    "sm": decode_sm,
-    "tlb": decode_tlb,
-}
+from .streams import FORMATS, decode_sm, decode_tlb, read_stream_csv, write_stream_csv
 
 
 class UsageError(ValueError):
@@ -82,11 +57,8 @@ def _read_vector(path):
 
 
 def _cmd_encode(args):
-    if args.format not in _ENCODERS:
-        raise UsageError(f"unknown format {args.format!r}")
-    seed = _default_seed(args.seed)
-    rng = RandomSource(seed)
-    stream = _ENCODERS[args.format](args.value, args.len, rng)
+    rng = RandomSource(_default_seed(args.seed))
+    stream = FORMATS[args.format].encode(args.value, args.len, rng)
     write_stream_csv(stream, args.out)
     return 0
 
@@ -97,13 +69,13 @@ def _cmd_decode(args):
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
     if args.format is not None:
-        if args.format == "bipolar" and format_name == "unipolar":
-            format_name = "bipolar"  # single-line file reinterpreted
-        elif args.format != format_name:
+        # a format with the file's columns reinterprets it (single-line files)
+        if FORMATS[args.format].columns != FORMATS[format_name].columns:
             raise UsageError(
                 f"stream file is {format_name}, but --format {args.format} given"
             )
-    print(repr(_DECODERS[format_name](stream)))
+        format_name = args.format
+    print(repr(FORMATS[format_name].decode(stream)))
     return 0
 
 
@@ -279,7 +251,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enc = sub.add_parser("encode", help="encode a value into a stream file")
-    p_enc.add_argument("--format", required=True, choices=sorted(_ENCODERS))
+    p_enc.add_argument("--format", required=True, choices=sorted(FORMATS))
     p_enc.add_argument("--value", type=float, required=True)
     p_enc.add_argument("--len", type=int, required=True, help="stream length L")
     p_enc.add_argument("--seed", type=int, default=None)
@@ -288,7 +260,7 @@ def build_parser():
 
     p_dec = sub.add_parser("decode", help="decode a stream file to a value")
     p_dec.add_argument("stream_file")
-    p_dec.add_argument("--format", choices=sorted(_DECODERS), default=None)
+    p_dec.add_argument("--format", choices=sorted(FORMATS), default=None)
     p_dec.set_defaults(func=_cmd_decode)
 
     defaults = ExperimentConfig()

@@ -1,15 +1,16 @@
-"""Bit-wise conversion between the TLB and SM two-line formats.
+"""The multiplier cell's bit logic: TLB/SM conversion and the SM product.
 
-Both directions preserve the per-position ternary symbol. The don't-care
-sign bit of a zero-magnitude SM position is resolved as s = n, and the
-TLB pair produced from SM is canonical: (1,1) never appears.
+The bit functions are the single place this logic is written. They take
+0/1 ints or uint8 arrays alike, so the stream converters, the TLB
+multiplier in ``adder.py`` and the tree's product encoder in ``batch.py``
+all call them. Both conversions preserve the per-position ternary symbol.
+The don't-care sign bit of a zero-magnitude SM position is resolved as
+s = n, and the TLB pair produced from SM is canonical: (1,1) never appears.
 """
-
-import numpy as np
 
 from .streams import SmStream, TlbStream
 
-__all__ = ["tlb_to_sm_bit", "sm_to_tlb_bit", "tlb_to_sm", "sm_to_tlb"]
+__all__ = ["tlb_to_sm_bit", "sm_to_tlb_bit", "sm_multiply_bit", "tlb_to_sm", "sm_to_tlb"]
 
 
 def tlb_to_sm_bit(p, n):
@@ -22,15 +23,16 @@ def sm_to_tlb_bit(s, m):
     return m & (s ^ 1), m & s
 
 
+def sm_multiply_bit(xs, xm, ys, ym):
+    """One-position SM product: sign XOR, magnitude AND."""
+    return xs ^ ys, xm & ym
+
+
 def tlb_to_sm(stream):
     """Position-wise TLB to SM conversion; decoded value preserved exactly."""
-    pos = stream.pos.bits
-    neg = stream.neg.bits
-    return SmStream(neg, pos ^ neg)
+    return SmStream(*tlb_to_sm_bit(stream.pos.bits, stream.neg.bits))
 
 
 def sm_to_tlb(stream):
     """Position-wise SM to TLB conversion; output pairs are canonical."""
-    sign = stream.sign.bits
-    mag = stream.magnitude.bits
-    return TlbStream(mag & (sign ^ np.uint8(1)), mag & sign)
+    return TlbStream(*sm_to_tlb_bit(stream.sign.bits, stream.magnitude.bits))

@@ -9,7 +9,12 @@ encodings:
 * two-line bipolar (TLB): x in [-1, 1], difference of two unipolar streams
 
 Per position, a two-line stream carries a ternary symbol in {-1, 0, +1}:
-``pos - neg`` for TLB and ``(1 - 2*sign) * mag`` for SM.
+``pos - neg`` for TLB and ``(1 - 2*sign) * mag`` for SM. ``TlbStream`` and
+``SmStream`` share one base class, which validates the two lines and holds
+length, equality and repr; each subclass only names its lines in
+``__slots__``. ``FORMATS`` is the one table of formats: it maps each name to
+its encoder, decoder, stream class and stream-file columns, and the
+stream-file reader and writer and the CLI read it.
 
 Generation uses the comparator construction: a bit is 1 whenever the next
 uniform sample falls below the target probability. Streams are stored as
@@ -18,6 +23,7 @@ in the ``l`` column of trace CSV files.
 """
 
 import csv
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,70 +121,46 @@ class BitStream:
         return f"BitStream({head}{tail}, length={self.length})"
 
 
-class TlbStream:
+class _TwoLineStream:
+    """Two equal-length bit lines, named by the subclass's ``__slots__``."""
+
+    __slots__ = ()
+
+    def __init__(self, first, second):
+        lines = [b if isinstance(b, BitStream) else BitStream(b) for b in (first, second)]
+        if lines[0].length != lines[1].length:
+            raise ValueError("{} and {} streams must have equal length".format(*self.__slots__))
+        for name, line in zip(self.__slots__, lines):
+            setattr(self, name, line)
+
+    def _lines(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    @property
+    def length(self):
+        return getattr(self, self.__slots__[0]).length
+
+    def __len__(self):
+        return self.length
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self._lines() == other._lines()
+
+    def __repr__(self):
+        value = int(ternary_values(self).sum()) / self.length
+        return f"{type(self).__name__}(length={self.length}, value={value:+.4f})"
+
+
+class TlbStream(_TwoLineStream):
     """Two-line bipolar stream: value is mean(pos - neg)."""
 
     __slots__ = ("pos", "neg")
 
-    def __init__(self, pos, neg):
-        if not isinstance(pos, BitStream):
-            pos = BitStream(pos)
-        if not isinstance(neg, BitStream):
-            neg = BitStream(neg)
-        if pos.length != neg.length:
-            raise ValueError("pos and neg streams must have equal length")
-        self.pos = pos
-        self.neg = neg
 
-    @property
-    def length(self):
-        return self.pos.length
-
-    def __len__(self):
-        return self.length
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TlbStream)
-            and self.pos == other.pos
-            and self.neg == other.neg
-        )
-
-    def __repr__(self):
-        return f"TlbStream(length={self.length}, value={decode_tlb(self):+.4f})"
-
-
-class SmStream:
+class SmStream(_TwoLineStream):
     """Signed-magnitude stream: value is mean((1 - 2*sign) * magnitude)."""
 
     __slots__ = ("sign", "magnitude")
-
-    def __init__(self, sign, magnitude):
-        if not isinstance(sign, BitStream):
-            sign = BitStream(sign)
-        if not isinstance(magnitude, BitStream):
-            magnitude = BitStream(magnitude)
-        if sign.length != magnitude.length:
-            raise ValueError("sign and magnitude streams must have equal length")
-        self.sign = sign
-        self.magnitude = magnitude
-
-    @property
-    def length(self):
-        return self.sign.length
-
-    def __len__(self):
-        return self.length
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SmStream)
-            and self.sign == other.sign
-            and self.magnitude == other.magnitude
-        )
-
-    def __repr__(self):
-        return f"SmStream(length={self.length}, value={decode_sm(self):+.4f})"
 
 
 def _check_length(length):
@@ -231,8 +213,7 @@ def encode_tlb(x, length, rng):
 
 def decode_tlb(stream):
     """Mean of (pos - neg); exact multiple of 1/L."""
-    total = int(stream.pos.bits.sum()) - int(stream.neg.bits.sum())
-    return total / stream.length
+    return int(ternary_values(stream).sum()) / stream.length
 
 
 def encode_sm(x, length, rng):
@@ -247,10 +228,7 @@ def encode_sm(x, length, rng):
 
 def decode_sm(stream):
     """Mean of (1 - 2*sign) * magnitude; exact multiple of 1/L."""
-    mag = stream.magnitude.bits
-    neg_ones = int((stream.sign.bits & mag).sum())
-    total = int(mag.sum()) - 2 * neg_ones
-    return total / stream.length
+    return int(ternary_values(stream).sum()) / stream.length
 
 
 def ternary_values(stream):
@@ -267,55 +245,60 @@ def ternary_at(stream, index):
     """Ternary symbol of a two-line stream at a 0-based position."""
     if not 0 <= index < stream.length:
         raise IndexError(f"position {index} out of range for length {stream.length}")
-    if isinstance(stream, TlbStream):
-        return stream.pos[index] - stream.neg[index]
-    if isinstance(stream, SmStream):
-        return (1 - 2 * stream.sign[index]) * stream.magnitude[index]
-    raise TypeError("ternary symbols are defined for TlbStream and SmStream")
+    return int(ternary_values(stream)[index])
 
 
-# Trace file columns per stream type. The l column is 1-based.
-_TRACE_COLUMNS = {
-    BitStream: ("l", "bit"),
-    TlbStream: ("l", "pos", "neg"),
-    SmStream: ("l", "sign", "mag"),
+class StreamFormat(NamedTuple):
+    encode: Callable
+    decode: Callable
+    stream: type
+    columns: tuple  # stream-file header; the l column is 1-based
+
+
+# The one table of stream formats: the stream-file reader and writer and the
+# CLI's encode/decode choices all read it. A header names the first format
+# listed with those columns, so a single-line file reads as unipolar.
+FORMATS = {
+    "unipolar": StreamFormat(encode_unipolar, decode_unipolar, BitStream, ("l", "bit")),
+    "bipolar": StreamFormat(encode_bipolar, decode_bipolar, BitStream, ("l", "bit")),
+    "sm": StreamFormat(encode_sm, decode_sm, SmStream, ("l", "sign", "mag")),
+    "tlb": StreamFormat(encode_tlb, decode_tlb, TlbStream, ("l", "pos", "neg")),
 }
 
 
 def write_stream_csv(stream, path):
     """Dump a stream to a trace CSV (one row per position, 1-based l)."""
-    columns = _TRACE_COLUMNS[type(stream)]
-    if isinstance(stream, BitStream):
-        rows = ((l + 1, int(b)) for l, b in enumerate(stream.bits))
-    elif isinstance(stream, TlbStream):
-        rows = (
-            (l + 1, int(p), int(n))
-            for l, (p, n) in enumerate(zip(stream.pos.bits, stream.neg.bits))
-        )
-    else:
-        rows = (
-            (l + 1, int(s), int(m))
-            for l, (s, m) in enumerate(zip(stream.sign.bits, stream.magnitude.bits))
-        )
+    columns = {f.stream: f.columns for f in FORMATS.values()}[type(stream)]
+    lines = stream._lines() if isinstance(stream, _TwoLineStream) else (stream,)
+    rows = np.column_stack([np.arange(1, stream.length + 1), *(b.bits for b in lines)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows(rows.tolist())
 
 
 def read_stream_csv(path):
-    """Read a trace CSV back; returns (format_name, stream)."""
+    """Read a trace CSV back; returns (format_name, stream).
+
+    Raises ValueError, naming the file, on an empty or unknown file, a row
+    whose field count differs from the header's, or an l column that does
+    not count 1..L.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
-        body = [[int(v) for v in row] for row in reader if row]
+        body = [(reader.line_num, row) for row in reader if row]
     if not body:
         raise ValueError(f"empty stream file: {path}")
-    data = np.array(body, dtype=np.int64)
-    if header == ("l", "bit"):
-        return "unipolar", BitStream(data[:, 1])
-    if header == ("l", "pos", "neg"):
-        return "tlb", TlbStream(data[:, 1], data[:, 2])
-    if header == ("l", "sign", "mag"):
-        return "sm", SmStream(data[:, 1], data[:, 2])
-    raise ValueError(f"unrecognized stream file header: {header}")
+    name = next((n for n, f in FORMATS.items() if f.columns == header), None)
+    if name is None:
+        raise ValueError(f"unrecognized stream file header in {path}: {header}")
+    for line, row in body:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}, line {line}: {len(row)} fields, but the header has {len(header)}"
+            )
+    data = np.array([[int(v) for v in row] for _, row in body], dtype=np.int64)
+    if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
+        raise ValueError(f"{path}: the l column must count 1..{len(data)} in order")
+    return name, FORMATS[name].stream(*data[:, 1:].T)

@@ -130,6 +130,13 @@ def test_merge_fault_schedules_orders_by_cycle():
     assert bits.tolist() == [3, 0, 2, 1]
 
 
+def test_merge_fault_schedules_rejects_mismatched_arrays():
+    # zip-like truncation would keep one flip of (cycles [1], bits [3, 4])
+    for schedule in ((np.array([1]), np.array([3, 4])), (np.array([]), np.array([3]))):
+        with pytest.raises(ValueError, match="trial 1"):
+            merge_fault_schedules([None, schedule])
+
+
 # -- engine batch vs the scalar oracle ------------------------------------------
 
 
@@ -328,6 +335,14 @@ def test_engine_batch_rejects_bad_fault_cells():
         faults = (np.array([0]), np.array([cycle]), np.array([0]))
         with pytest.raises(ValueError, match="fault cycles"):
             engine_batch(np.ones((1, 2, 5), np.int8), 2, fault_schedules=faults)
+    # every cycle is range-checked, not only the first and the last
+    faults = (np.zeros(3, np.int64), np.array([2, 9, 3]), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="fault cycles must lie"):
+        engine_batch(np.ones((1, 2, 5), np.int8), 2, fault_schedules=faults)
+    # unsorted cycles would be split by cycle wrongly
+    faults = (np.zeros(3, np.int64), np.array([6, 2, 3]), np.array([3, 0, 1]))
+    with pytest.raises(ValueError, match="sorted"):
+        engine_batch(np.ones((1, 3, 8), np.int8), 2, fault_schedules=faults)
 
 
 def test_engine_batch_rejects_bad_shift_direction():
@@ -408,6 +423,12 @@ def test_tree_batch_rejects_bad_fault_cells():
         faults = (np.array([0]), np.array([cycle]), np.array([0]))
         with pytest.raises(ValueError, match="fault cycles"):
             tree_batch(products, 4, fault_schedules=faults)
+    faults = (np.zeros(3, np.int64), np.array([1, 9, 2]), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="fault cycles must lie"):
+        tree_batch(products, 4, fault_schedules=faults)
+    faults = (np.zeros(3, np.int64), np.array([2, 0, 1]), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="sorted"):
+        tree_batch(products, 4, fault_schedules=faults)
 
 
 def clamp_unreported(pending, c_max, out):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -45,6 +46,26 @@ def test_encode_decode_round_trip(tmp_path, capsys):
     assert -1.0 <= value <= 0.0
 
 
+@pytest.mark.parametrize(
+    "fmt,value,digest",
+    [
+        ("unipolar", "0.3", "93fd661aae098fe72e7d285ed06b0424be162f806bdbdb9a57c3db6ce238fa91"),
+        ("bipolar", "-0.3", "6756307958301b4e20e2ad2ba2a252f903f4d2892f96b90bf74812c9ed0c03b4"),
+        ("sm", "-0.3", "1473403b91bfeda47aed9f849365ef3e1bf20126a71aae1a49d0bab254cad4b7"),
+        ("tlb", "-0.3", "f9c38925c660f607b6bcf5d9929e29593c61f53595af1b3053a726b63215dc17"),
+    ],
+)
+def test_encode_bytes_pinned(tmp_path, capsys, fmt, value, digest):
+    out = tmp_path / "stream.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "encode", "--format", fmt, "--value", value,
+        "--len", "200", "--seed", "5", "--out", str(out),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_encode_decode_mean_error(tmp_path, capsys):
     errors = []
     for seed in range(100):
@@ -87,6 +108,23 @@ def test_decode_empty_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decode", str(path))
     assert code == 2
     assert "empty stream file" in err
+
+
+@pytest.mark.parametrize(
+    "body,needle",
+    [
+        ("l,pos,neg\n1,1,0\n1,0,0\n7,0,1\n", "l column"),
+        ("l,pos,neg\n1,1,0\n2,0\n3,0,1\n", "line 3: 2 fields"),
+        ("l,bit\n1,1,0\n", "line 2: 3 fields"),
+    ],
+)
+def test_decode_malformed_file_usage_error(tmp_path, capsys, body, needle):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    code, out, err = run_cli(capsys, "decode", str(path))
+    assert code == 2 and out == ""
+    assert needle in err and str(path) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_decode_format_mismatch(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scbit
 from scbit import (
     BitStream,
     RandomSource,
@@ -296,3 +299,43 @@ def test_stream_csv_round_trip(tmp_path, stream, expected_format):
     # l column is 1-based
     first_row = path.read_text().splitlines()[1]
     assert first_row.startswith("1,")
+
+
+def _pinned_streams():
+    bits = np.random.default_rng(8).integers(0, 2, (3, 200))
+    return {
+        "bit": BitStream(bits[0]),
+        "tlb": TlbStream(bits[0], bits[1]),
+        "sm": SmStream(bits[1], bits[2]),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind,digest",
+    [
+        ("bit", "cbcfba5f04637808c2d8592469eef02873133eed1fbddf500a5165b561c3e414"),
+        ("tlb", "eb5f3dffe804644b806ab07387afdba4febf6692f2feec25e47dc5e49b4a260e"),
+        ("sm", "a0bf0d663f5ae0af572264b37782e8ba26f54782768e68ce8fa6c044f88da922"),
+    ],
+)
+def test_stream_csv_bytes_pinned(tmp_path, kind, digest):
+    path = tmp_path / "stream.csv"
+    write_stream_csv(_pinned_streams()[kind], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_package_exports_pinned():
+    assert sorted(scbit.__all__) == [
+        "AdderDiagnostics", "BitStream", "EngineConfig", "EngineDiagnostics",
+        "ExperimentConfig", "RandomSource", "SmStream", "SweepResult", "TlbStream",
+        "TreeDiagnostics", "decode_bipolar", "decode_sm", "decode_tlb",
+        "decode_unipolar", "encode_bipolar", "encode_sm", "encode_tlb",
+        "encode_unipolar", "nonscaled_add", "read_stream_csv", "rmse",
+        "run_accuracy_sweep", "run_canceler_experiment", "run_fault_sweep",
+        "run_inner_product", "run_point", "run_tree_inner_product", "sm_multiply_bit",
+        "sm_to_tlb", "sm_to_tlb_bit", "ternary_at", "ternary_values", "tlb_multiply",
+        "tlb_multiply_bit", "tlb_to_sm", "tlb_to_sm_bit", "write_stream_csv",
+    ]
+    assert len(set(scbit.__all__)) == len(scbit.__all__)
+    for name in scbit.__all__:
+        assert getattr(scbit, name) is not None, name
