@@ -59,6 +59,19 @@ def _stack(lines, stream_len):
     return np.array(lines, dtype=np.uint8).reshape(-1, stream_len)
 
 
+def _ternary(symbols):
+    """``symbols`` as an int8 array, after checking every entry is -1, 0 or +1.
+
+    The check runs before the cast, which would wrap 255 to -1.
+    """
+    symbols = np.asarray(symbols)
+    if symbols.size and (
+        symbols.dtype.kind not in "biu" or symbols.min() < -1 or symbols.max() > 1
+    ):
+        raise ValueError("ternary symbols must be integers in {-1, 0, +1}")
+    return symbols.astype(np.int8, copy=False)
+
+
 def encode_tlb_products(x, y, stream_len, rng):
     """Per-lane ternary product streams for the sequential engine.
 
@@ -437,7 +450,8 @@ def engine_batch(
 ):
     """Run the sequential engine over a batch of trials.
 
-    ``products``: (trials, lanes, cycles) int8 ternary lane products.
+    ``products``: (trials, lanes, cycles) ternary lane products; an entry
+    other than -1, 0 or +1 is a ValueError.
     Returns a dict with the emitted bit planes and per-trial counters.
 
     The input shift registers never read the carry registers, so each
@@ -457,7 +471,7 @@ def engine_batch(
     and every emission. ``trace_path`` writes the per-cycle trace CSV
     (columns ``TRACE_COLUMNS``) of a batch of one trial.
     """
-    products = np.asarray(products, dtype=np.int8)
+    products = _ternary(products)
     n_trials, lanes, n_cycles = products.shape
     m = int(carry_len)
     if m < 1:
@@ -564,7 +578,8 @@ def _clamp(pending, c_max, out):
 def tree_batch(products, counter_width, fault_schedules=None):
     """Run the counter-based adder tree over a batch of trials.
 
-    ``products``: (trials, lanes, cycles) int8, lanes a power of two.
+    ``products``: (trials, lanes, cycles) ternary lane products, lanes a
+    power of two; an entry other than -1, 0 or +1 is a ValueError.
     Each node adds its two ternary inputs and its counter into t, emits
     clamp(t, -1, 1) and keeps the remainder, saturated at +-c_max =
     2^(B-1) - 1; every clamp counts a saturation event. Node storage is a
@@ -578,7 +593,7 @@ def tree_batch(products, counter_width, fault_schedules=None):
     emitted + residual_sum + units removed by the +-c_max clamp - (stored
     change caused by faults), and raises RuntimeError on a mismatch.
     """
-    products = np.asarray(products, dtype=np.int8)
+    products = _ternary(products)
     n_trials, lanes, n_cycles = products.shape
     if lanes < 2 or lanes & (lanes - 1):
         raise ValueError("tree batch needs a power-of-two lane count >= 2")
@@ -642,8 +657,9 @@ def tree_batch(products, counter_width, fault_schedules=None):
 def adder_batch(x, y, capacity):
     """Run the shift-register non-scaled adder over a batch of stream pairs.
 
-    ``x``, ``y``: (pairs, positions) ternary symbols. The adder keeps its
-    pending carries in a +1 and a -1 shift register of M = ``capacity`` cells.
+    ``x``, ``y``: (pairs, positions) ternary symbols; an entry other than
+    -1, 0 or +1 is a ValueError. The adder keeps its pending carries in a
+    +1 and a -1 shift register of M = ``capacity`` cells.
     Fault-free, both hold thermometer codes and at most one of them is
     non-empty, so the pair is exactly a signed count c in [-M, M]: the
     +1 register holds max(c, 0) ones and the -1 register max(-c, 0). Per
@@ -656,8 +672,8 @@ def adder_batch(x, y, capacity):
     signed units, loaded = emitted + stored + units removed by the clamp,
     and raises RuntimeError on a mismatch.
     """
-    x = np.asarray(x, dtype=np.int8)
-    y = np.asarray(y, dtype=np.int8)
+    x = _ternary(x)
+    y = _ternary(y)
     if x.shape != y.shape or x.ndim != 2:
         raise ValueError("adder inputs must share a (pairs, positions) shape")
     if capacity < 1:

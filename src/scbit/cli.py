@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +48,13 @@ def _read_vector(path):
     except OSError as exc:
         raise UsageError(f"cannot read vector file {path}: {exc}") from exc
     values = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            values.append(float(line))
+            try:
+                values.append(float(line))
+            except ValueError as exc:
+                raise UsageError(f"{path}, line {number}: {exc}") from exc
     if not values:
         raise UsageError(f"vector file {path} holds no values")
     return values
@@ -87,19 +91,14 @@ def _cmd_inner_product(args):
             f"vector lengths differ: {len(x)} (x) vs {len(y)} (y)"
         )
     seed = _default_seed(args.seed)
+    cfg = ExperimentConfig.from_dict({**_flag_fields(args), "seed": seed, "lanes": len(x)})
+    if args.trace is not None and cfg.design != "novel":
+        raise UsageError("--trace writes the trace of the novel design only")
     rng = RandomSource(seed)
     truth = float(np.dot(x, y))
-    if args.design == "novel":
-        config = engine_mod.EngineConfig(
-            lanes=len(x),
-            carry_len=args.carry_len,
-            stream_len=args.len,
-            cc_enabled=args.cc == "on",
-            shift_direction=args.direction,
-        )
-        stream, diag = engine_mod.run_inner_product(
-            x, y, config, rng, trace_path=args.trace
-        )
+    if cfg.design == "novel":
+        # an ExperimentConfig has every field the engine reads from an EngineConfig
+        stream, diag = engine_mod.run_inner_product(x, y, cfg, rng, trace_path=args.trace)
         estimate = decode_tlb(stream)
         overflow = diag.overflow_events
         extra = {
@@ -109,7 +108,7 @@ def _cmd_inner_product(args):
         }
     else:
         stream, diag = baseline_mod.run_tree_inner_product(
-            x, y, args.counter_bits, args.len, rng
+            x, y, cfg.counter_width, cfg.stream_len, rng
         )
         estimate = decode_sm(stream)
         overflow = diag.saturation_events
@@ -120,7 +119,7 @@ def _cmd_inner_product(args):
     print(f"overflows: {overflow}")
     if args.out:
         payload = {
-            "design": args.design,
+            "design": cfg.design,
             "estimate": estimate,
             "true": truth,
             "abs_error": abs(estimate - truth),
@@ -136,6 +135,10 @@ def _cmd_inner_product(args):
 
 # config-file spellings accepted for ExperimentConfig fields
 _ALIASES = {"cc": "cc_enabled", "direction": "shift_direction"}
+# a parsed flag stored under one of these names sets that ExperimentConfig field
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+# flag values spelled differently from the ExperimentConfig values they set
+_SPELLINGS = {"on": True, "off": False, "standard": "standard_rmse", "paper": "paper_literal"}
 # list-valued sweep axes per sweep kind, each with the ExperimentConfig field
 # that validates its entries; every other config key must be such a field
 _AXES = {
@@ -165,9 +168,13 @@ def _load_sweep_config(args):
     return data
 
 
-def _override(data, key, value):
-    if value is not None:
-        data[key] = value
+def _flag_fields(args):
+    """The ExperimentConfig fields set on the command line, as config values."""
+    return {
+        name: _SPELLINGS.get(value, value)
+        for name, value in vars(args).items()
+        if name in _FIELDS and value is not None
+    }
 
 
 def _pop_axes(data, kind):
@@ -191,17 +198,14 @@ def _pop_axes(data, kind):
 
 def _cmd_sweep(args):
     data = _load_sweep_config(args)
-    _override(data, "seed", args.seed)
-    _override(data, "trials", args.trials)
+    flags = _flag_fields(args)
+    if args.kind == "canceler" and "lanes" in flags:
+        flags["lanes"] = [flags["lanes"]]  # a canceler sweep's lanes are its axis
+    data.update(flags)
     data["seed"] = _default_seed(data.get("seed"))
     out_path = Path(args.out)
     meta_path = out_path.with_suffix(".meta.json")
     axes = _pop_axes(data, args.kind)
-    if args.lanes is not None:
-        axes["lanes"] = [args.lanes]
-        if args.kind != "canceler":
-            data["lanes"] = args.lanes
-    _override(data, "cc_enabled", None if args.cc is None else args.cc == "on")
 
     if args.kind == "canceler":
         unknown = set(data) - _CANCELER_FIELDS
@@ -215,14 +219,6 @@ def _cmd_sweep(args):
             cc_enabled=cfg.cc_enabled,
         )
     else:
-        _override(data, "jobs", args.jobs)
-        _override(data, "design", args.design)
-        _override(data, "carry_len", args.carry_len)
-        _override(data, "counter_width", args.counter_bits)
-        _override(data, "stream_len", args.len)
-        _override(data, "shift_direction", args.direction)
-        if args.metric is not None:
-            data["metric"] = "paper_literal" if args.metric == "paper" else "standard_rmse"
         cfg = ExperimentConfig.from_dict(data)
         if args.kind == "accuracy":
             result = run_accuracy_sweep(
@@ -263,37 +259,31 @@ def build_parser():
     p_dec.add_argument("--format", choices=sorted(FORMATS), default=None)
     p_dec.set_defaults(func=_cmd_decode)
 
-    defaults = ExperimentConfig()
-    p_ip = sub.add_parser("inner-product", help="single-shot inner product")
+    # the operating point: each flag is stored under the ExperimentConfig
+    # field it sets, and a flag left out takes the ExperimentConfig default
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--seed", type=int)
+    point.add_argument("--len", dest="stream_len", metavar="LEN", type=int)
+    point.add_argument("--carry-len", type=int)
+    point.add_argument("--counter-bits", dest="counter_width", metavar="COUNTER_BITS", type=int)
+    point.add_argument("--cc", dest="cc_enabled", choices=("on", "off"))
+    point.add_argument("--direction", dest="shift_direction", choices=("opposite", "same"))
+    point.add_argument("--design", choices=("novel", "baseline"))
+
+    p_ip = sub.add_parser("inner-product", parents=[point], help="single-shot inner product")
     p_ip.add_argument("x_file", help="text file, one value per line")
     p_ip.add_argument("y_file")
-    p_ip.add_argument("--len", type=int, default=defaults.stream_len)
-    p_ip.add_argument("--carry-len", type=int, default=defaults.carry_len)
-    p_ip.add_argument("--counter-bits", type=int, default=defaults.counter_width)
-    p_ip.add_argument("--cc", choices=("on", "off"), default=("off", "on")[defaults.cc_enabled])
-    p_ip.add_argument(
-        "--direction", choices=("opposite", "same"), default=defaults.shift_direction
-    )
-    p_ip.add_argument("--design", choices=("novel", "baseline"), default=defaults.design)
-    p_ip.add_argument("--seed", type=int, default=None)
-    p_ip.add_argument("--trace", default=None, help="per-cycle trace CSV")
+    p_ip.add_argument("--trace", default=None, help="per-cycle trace CSV (novel design)")
     p_ip.add_argument("--out", default=None, help="diagnostics JSON")
     p_ip.set_defaults(func=_cmd_inner_product)
 
-    p_sw = sub.add_parser("sweep", help="run an experiment sweep")
+    p_sw = sub.add_parser("sweep", parents=[point], help="run an experiment sweep")
     p_sw.add_argument("kind", choices=("accuracy", "fault", "canceler"))
     p_sw.add_argument("--config", default=None, help="JSON experiment config")
     p_sw.add_argument("--out", required=True, help="output CSV path")
-    p_sw.add_argument("--seed", type=int, default=None)
     p_sw.add_argument("--trials", type=int, default=None)
     p_sw.add_argument("--jobs", type=int, default=None)
-    p_sw.add_argument("--len", type=int, default=None)
     p_sw.add_argument("--lanes", type=int, default=None)
-    p_sw.add_argument("--carry-len", type=int, default=None)
-    p_sw.add_argument("--counter-bits", type=int, default=None)
-    p_sw.add_argument("--cc", choices=("on", "off"), default=None)
-    p_sw.add_argument("--direction", choices=("opposite", "same"), default=None)
-    p_sw.add_argument("--design", choices=("novel", "baseline"), default=None)
     p_sw.add_argument("--metric", choices=("standard", "paper"), default=None)
     p_sw.set_defaults(func=_cmd_sweep)
 

@@ -281,8 +281,9 @@ def read_stream_csv(path):
     """Read a trace CSV back; returns (format_name, stream).
 
     Raises ValueError, naming the file, on an empty or unknown file, a row
-    whose field count differs from the header's, or an l column that does
-    not count 1..L.
+    whose field count differs from the header's, a cell that is not an
+    integer, a bit other than 0 or 1, or an l column that does not count
+    1..L. Row errors also name the line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -293,12 +294,17 @@ def read_stream_csv(path):
     name = next((n for n, f in FORMATS.items() if f.columns == header), None)
     if name is None:
         raise ValueError(f"unrecognized stream file header in {path}: {header}")
+    rows = []
     for line, row in body:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}, line {line}: {len(row)} fields, but the header has {len(header)}"
-            )
-    data = np.array([[int(v) for v in row] for _, row in body], dtype=np.int64)
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
+            rows.append([int(v) for v in row])
+            if not set(rows[-1][1:]) <= {0, 1}:
+                raise ValueError("bit stream symbols must be 0 or 1")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from exc
+    data = np.array(rows, dtype=np.int64)
     if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
         raise ValueError(f"{path}: the l column must count 1..{len(data)} in order")
     return name, FORMATS[name].stream(*data[:, 1:].T)

@@ -459,6 +459,23 @@ def test_tree_batch_rejects_bad_lanes():
         tree_batch(np.zeros((1, 3, 4), np.int8), 4)
 
 
+@pytest.mark.parametrize("bad", [np.int8(2), np.int8(-2), np.int64(255)])
+def test_kernels_reject_non_ternary_symbols(bad):
+    # checked before the int8 cast, which would turn 255 into -1
+    products = np.zeros((1, 2, 4), dtype=bad.dtype)
+    products[0, 1, 2] = bad
+    zeros = np.zeros_like(products[0])
+    runs = (
+        lambda: engine_batch(products, 2),
+        lambda: tree_batch(products, 4),
+        lambda: adder_batch(products[0], zeros, 2),
+        lambda: adder_batch(zeros, products[0], 2),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="ternary symbols"):
+            run()
+
+
 # -- shift-direction experiment kernel ----------------------------------------
 
 

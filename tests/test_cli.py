@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -10,7 +12,8 @@ from scbit import (
     read_stream_csv,
     run_inner_product,
 )
-from scbit.cli import main
+from scbit.cli import build_parser, main
+from scbit.experiments import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +119,8 @@ def test_decode_empty_file(tmp_path, capsys):
         ("l,pos,neg\n1,1,0\n1,0,0\n7,0,1\n", "l column"),
         ("l,pos,neg\n1,1,0\n2,0\n3,0,1\n", "line 3: 2 fields"),
         ("l,bit\n1,1,0\n", "line 2: 3 fields"),
+        ("l,bit\n1,1\n2,x\n", "line 3: invalid literal for int()"),
+        ("l,bit\n1,2\n", "line 2: bit stream symbols must be 0 or 1"),
     ],
 )
 def test_decode_malformed_file_usage_error(tmp_path, capsys, body, needle):
@@ -219,6 +224,61 @@ def test_inner_product_env_seed(tmp_path, capsys, monkeypatch):
     _, explicit, _ = run_cli(capsys, "inner-product", xf, yf, "--len", "500",
                              "--seed", "123")
     assert with_env == explicit
+
+
+# -- the operating-point flags of inner-product and sweep ------------------------
+
+
+SHARED_FLAGS = (
+    "--seed", "--len", "--carry-len", "--counter-bits", "--cc", "--direction", "--design",
+)
+
+
+def test_operating_point_flags_are_config_fields():
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    names = {f.name for f in fields(ExperimentConfig)}
+    options = {}
+    for command in ("inner-product", "sweep"):
+        actions = subcommands[command]._actions
+        options[command] = {a.option_strings[-1]: a for a in actions if a.option_strings}
+        for flag, action in options[command].items():
+            if flag not in ("--help", "--config", "--out", "--trace"):
+                assert action.dest in names, flag
+    # declared once: both commands hold the same argparse action
+    for flag in SHARED_FLAGS:
+        assert options["inner-product"][flag] is options["sweep"][flag], flag
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        ("inner-product X Y --counter-bits 0", "counter_width must be >= 1"),
+        ("inner-product X Y --carry-len 0 --design baseline", "carry_len"),
+        ("inner-product X Y --design baseline --trace T", "--trace"),
+        ("inner-product BAD Y", "bad.txt, line 3: could not convert string to float"),
+        ("sweep canceler --len 5", "unknown config fields: ['stream_len']"),
+        ("sweep canceler --design baseline", "unknown config fields: ['design']"),
+        ("sweep canceler --jobs 2", "unknown config fields: ['jobs']"),
+    ],
+)
+def test_usage_errors_exit_2_on_one_line(tmp_path, capsys, argv, needle):
+    # a flag a command cannot honour is an error, never silently ignored
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0.5\n# comment\nabc\n")
+    paths = {
+        "X": write_vector(tmp_path / "x.txt", [0.5, 0.5]),
+        "Y": write_vector(tmp_path / "y.txt", [0.5, -0.5]),
+        "BAD": str(bad),
+        "T": str(tmp_path / "t.csv"),
+    }
+    argv = [paths.get(a, a) for a in argv.split()]
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "x.txt", "y.txt"]
 
 
 # -- sweeps ----------------------------------------------------------------------
