@@ -59,17 +59,18 @@ def _stack(lines, stream_len):
     return np.array(lines, dtype=np.uint8).reshape(-1, stream_len)
 
 
-def _ternary(symbols):
-    """``symbols`` as an int8 array, after checking every entry is -1, 0 or +1.
+def _int8_in(values, low, what):
+    """``values`` as an int8 array, after checking every entry is an integer
+    from ``low`` to 1: -1 for ternary symbols, 0 for hold bits.
 
-    The check runs before the cast, which would wrap 255 to -1.
+    The check runs before the cast, which would wrap 255 to -1 and 256 to 0.
     """
-    symbols = np.asarray(symbols)
-    if symbols.size and (
-        symbols.dtype.kind not in "biu" or symbols.min() < -1 or symbols.max() > 1
+    values = np.asarray(values)
+    if values.size and (
+        values.dtype.kind not in "biu" or values.min() < low or values.max() > 1
     ):
-        raise ValueError("ternary symbols must be integers in {-1, 0, +1}")
-    return symbols.astype(np.int8, copy=False)
+        raise ValueError(f"{what} must be integers in [{low}, 1]")
+    return values.astype(np.int8, copy=False)
 
 
 def encode_tlb_products(x, y, stream_len, rng):
@@ -471,7 +472,7 @@ def engine_batch(
     and every emission. ``trace_path`` writes the per-cycle trace CSV
     (columns ``TRACE_COLUMNS``) of a batch of one trial.
     """
-    products = _ternary(products)
+    products = _int8_in(products, -1, "ternary symbols")
     n_trials, lanes, n_cycles = products.shape
     m = int(carry_len)
     if m < 1:
@@ -593,7 +594,7 @@ def tree_batch(products, counter_width, fault_schedules=None):
     emitted + residual_sum + units removed by the +-c_max clamp - (stored
     change caused by faults), and raises RuntimeError on a mismatch.
     """
-    products = _ternary(products)
+    products = _int8_in(products, -1, "ternary symbols")
     n_trials, lanes, n_cycles = products.shape
     if lanes < 2 or lanes & (lanes - 1):
         raise ValueError("tree batch needs a power-of-two lane count >= 2")
@@ -672,8 +673,8 @@ def adder_batch(x, y, capacity):
     signed units, loaded = emitted + stored + units removed by the clamp,
     and raises RuntimeError on a mismatch.
     """
-    x = _ternary(x)
-    y = _ternary(y)
+    x = _int8_in(x, -1, "ternary symbols")
+    y = _int8_in(y, -1, "ternary symbols")
     if x.shape != y.shape or x.ndim != 2:
         raise ValueError("adder inputs must share a (pairs, positions) shape")
     if capacity < 1:
@@ -715,10 +716,10 @@ def canceler_batch(
     pairs among the columns not yet delivered. With the opposite wiring
     the +1 in column c meets the -1 in column K + 2s - c; with the same
     wiring the pairs share a column. The columns left after the sweep are
-    the deliveries.
+    the deliveries. A hold entry other than 0 or 1 is a ValueError.
     """
-    hold_pos = np.asarray(hold_pos, dtype=np.int8)
-    hold_neg = np.asarray(hold_neg, dtype=np.int8)
+    hold_pos = _int8_in(hold_pos, 0, "hold bits")
+    hold_neg = _int8_in(hold_neg, 0, "hold bits")
     if hold_pos.shape != hold_neg.shape or hold_pos.ndim != 2:
         raise ValueError("hold bit planes must share a (trials, lanes) shape")
     if shift_direction not in ("opposite", "same"):

@@ -52,9 +52,12 @@ def _read_vector(path):
         line = line.strip()
         if line and not line.startswith("#"):
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise UsageError(f"{path}, line {number}: {exc}") from exc
+            if not -1.0 <= value <= 1.0:  # also catches nan
+                raise UsageError(f"{path}, line {number}: value must be in [-1, 1], got {value}")
+            values.append(value)
     if not values:
         raise UsageError(f"vector file {path} holds no values")
     return values

@@ -508,6 +508,19 @@ def test_canceler_batch_matches_reference(direction, cc):
         assert [(int(p), int(n)) for p, n in zip(dp[0], dn[0])] == want
 
 
+@pytest.mark.parametrize(
+    "bad", (np.int64(2), np.int64(-1), np.int64(256)), ids=("2", "-1", "int64-256")
+)
+def test_canceler_batch_rejects_non_bit_holds(bad):
+    # checked before the int8 cast, which would turn 256 into 0
+    hold = np.zeros((1, 2), dtype=np.int64)
+    hold[0, 0] = bad
+    zeros = np.zeros_like(hold)
+    for hold_pos, hold_neg in ((hold, zeros), (zeros, hold)):
+        with pytest.raises(ValueError, match="hold bits"):
+            canceler_batch(hold_pos, hold_neg)
+
+
 def enumerate_holds(k):
     combos = list(itertools.product((0, 1), repeat=2 * k))
     arr = np.array(combos, dtype=np.int8)

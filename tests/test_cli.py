@@ -258,6 +258,9 @@ def test_operating_point_flags_are_config_fields():
         ("inner-product X Y --carry-len 0 --design baseline", "carry_len"),
         ("inner-product X Y --design baseline --trace T", "--trace"),
         ("inner-product BAD Y", "bad.txt, line 3: could not convert string to float"),
+        ("inner-product WIDE Y", "wide.txt, line 2: value must be in [-1, 1], got 1.5"),
+        ("inner-product WIDE Y --design baseline", "wide.txt, line 2: value must be in"),
+        ("inner-product X NAN", "nan.txt, line 1: value must be in [-1, 1], got nan"),
         ("sweep canceler --len 5", "unknown config fields: ['stream_len']"),
         ("sweep canceler --design baseline", "unknown config fields: ['design']"),
         ("sweep canceler --jobs 2", "unknown config fields: ['jobs']"),
@@ -267,10 +270,14 @@ def test_usage_errors_exit_2_on_one_line(tmp_path, capsys, argv, needle):
     # a flag a command cannot honour is an error, never silently ignored
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5\n# comment\nabc\n")
+    (tmp_path / "wide.txt").write_text("0.5\n1.5\n")
+    (tmp_path / "nan.txt").write_text("nan\n0.5\n")
     paths = {
         "X": write_vector(tmp_path / "x.txt", [0.5, 0.5]),
         "Y": write_vector(tmp_path / "y.txt", [0.5, -0.5]),
         "BAD": str(bad),
+        "WIDE": str(tmp_path / "wide.txt"),
+        "NAN": str(tmp_path / "nan.txt"),
         "T": str(tmp_path / "t.csv"),
     }
     argv = [paths.get(a, a) for a in argv.split()]
@@ -278,7 +285,8 @@ def test_usage_errors_exit_2_on_one_line(tmp_path, capsys, argv, needle):
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "x.txt", "y.txt"]
+    inputs = ["bad.txt", "nan.txt", "wide.txt", "x.txt", "y.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 # -- sweeps ----------------------------------------------------------------------
