@@ -10,7 +10,7 @@ from .adder import (
 )
 from .baseline import TreeDiagnostics, run_tree_inner_product
 from .convert import sm_multiply_bit, sm_to_tlb, sm_to_tlb_bit, tlb_to_sm, tlb_to_sm_bit
-from .engine import EngineConfig, EngineDiagnostics, run_inner_product
+from .engine import EngineDiagnostics, run_inner_product
 from .experiments import (
     ExperimentConfig,
     SweepResult,
@@ -44,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdderDiagnostics",
     "BitStream",
-    "EngineConfig",
     "EngineDiagnostics",
     "ExperimentConfig",
     "RandomSource",

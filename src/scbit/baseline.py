@@ -42,25 +42,20 @@ class TreeDiagnostics:
         return self.saturation_events
 
 
-def run_tree_inner_product(
-    x, y, counter_width, stream_len, rng, pad_lanes=True, fault_schedule=None
-):
+def run_tree_inner_product(x, y, counter_width, stream_len, rng, fault_schedule=None):
     """Run the adder tree end to end; returns (SmStream, TreeDiagnostics).
 
     Lane values are encoded in the signed-magnitude format using
     independent child sources of ``rng`` (x lanes first, then y lanes).
-    Lane counts that are not a power of two are zero-padded when
-    ``pad_lanes`` is set, otherwise rejected. ``fault_schedule`` is an
-    optional iterable of (cycle, flat_bit) pairs, flat_bit indexing the
-    level-major node list times the counter width; a flat_bit outside
-    [0, (K-1)·B) is a ValueError.
+    Lanes are zero-padded to the next power of two, at least 2.
+    ``fault_schedule`` is an optional iterable of (cycle, flat_bit) pairs,
+    flat_bit indexing the level-major node list times the counter width; a
+    flat_bit outside [0, (K-1)·B) is a ValueError.
     """
     k = len(x)
     if k < 1:
         raise ValueError("need at least one lane")
     if k < 2 or k & (k - 1):
-        if not pad_lanes:
-            raise ValueError("lane count must be a power of two (>= 2)")
         zeros = [0.0] * ((1 << max(1, (k - 1).bit_length())) - k)
         x, y = list(x) + zeros, list(y) + zeros
     products = encode_sm_products(x, y, stream_len, rng)

@@ -10,8 +10,9 @@ runs ``run_inner_product``, ``run_tree_inner_product`` and
 (``_accumulate``, which the transition table of narrow registers
 memoizes), the counter node update (``tree_batch``), the signed carry
 count of the non-scaled adder (``adder_batch``), the saturating clamp the
-tree and the adder share (``_clamp``) and the split of a fault schedule by
-cycle (``_flips_by_cycle``). The test suite checks the kernels bit for bit
+tree and the adder share (``_clamp``), the split of a fault schedule by
+cycle (``_flips_by_cycle``) and the XOR of a fault into storage
+(``_toggle``). The test suite checks the kernels bit for bit
 against independent scalar oracles of the hardware, including under
 injected faults.
 """
@@ -19,6 +20,7 @@ injected faults.
 import contextlib
 import csv
 import functools
+import numbers
 
 import numpy as np
 
@@ -57,6 +59,17 @@ def _lane_streams(encode, x, y, stream_len, rng):
 def _stack(lines, stream_len):
     """(lanes, stream_len) uint8 array of bit vectors; (0, stream_len) if none."""
     return np.array(lines, dtype=np.uint8).reshape(-1, stream_len)
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _positive(value, what):
+    """``value`` as an int, or ValueError unless it is an integer >= 1; bools are not."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _int8_in(values, low, what):
@@ -118,11 +131,14 @@ def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
 
 
 def _one_trial_faults(schedule):
-    """Batch fault arrays for one trial from (cycle, cell) pairs; None stays None."""
+    """Batch fault arrays for one trial from (cycle, cell) pairs of integers;
+    None stays None. A flat list or a float is a ValueError, not reinterpreted."""
     if schedule is None:
         return None
-    pairs = np.array(list(schedule), dtype=np.int64).reshape(-1, 2)
-    return merge_fault_schedules([pairs.T])
+    pairs = np.array(list(schedule), dtype=object)
+    if len(pairs) and (pairs.shape[1:] != (2,) or not all(map(_is_integer, pairs.flat))):
+        raise ValueError("a fault schedule holds (cycle, cell) pairs of integers")
+    return merge_fault_schedules([pairs.reshape(-1, 2).astype(np.int64).T])
 
 
 def merge_fault_schedules(schedules):
@@ -182,6 +198,15 @@ def _flips_by_cycle(fault_schedules, n_cycles, n_cells):
         lo, hi = starts[cycle], starts[cycle + 1]
         flips[cycle] = (f_trials[lo:hi], f_cells[lo:hi])
     return flips
+
+
+def _toggle(words, trials, cells, width):
+    """XOR fault cells into a (trials, words) view of ``width``-cell words.
+
+    The shift is cast to the storage dtype first, so object registers shift
+    Python ints.
+    """
+    np.bitwise_xor.at(words, (trials, cells // width), 1 << (cells % width).astype(words.dtype))
 
 
 # The packed carry state of 2M bits is stepped by table gathers up to this
@@ -285,9 +310,9 @@ class _PackedCarry:
         entry = self.entry
         for i in range(n_cycles):
             if flips[i] is not None:
-                trials, bits = flips[i]
+                trials, cells = flips[i]
                 before = self._counts(entry)
-                np.bitwise_xor.at(entry, trials, (1 << bits).astype(np.int32))
+                _toggle(entry[:, None], trials, cells, 2 * self.m)
                 faulted[:, i] = self._counts(entry) - before
             ops = (deliveries[:, i].astype(np.int64) + 1) << self.op_shift
             row = rows[i]
@@ -329,7 +354,7 @@ class _WideCarry:
             if flips[i] is not None:
                 trials, cells = flips[i]
                 before = _popcount(regs)
-                np.bitwise_xor.at(regs, (cells // m, trials), 1 << (cells % m).astype(regs.dtype))
+                _toggle(regs.T, trials, cells, m)
                 faulted[:, i] = _popcount(regs) - before
             pc, nc = regs[:, 0].tolist() if single else regs
             row = ops[i]
@@ -474,9 +499,7 @@ def engine_batch(
     """
     products = _int8_in(products, -1, "ternary symbols")
     n_trials, lanes, n_cycles = products.shape
-    m = int(carry_len)
-    if m < 1:
-        raise ValueError("carry_len must be >= 1")
+    m = _positive(carry_len, "carry_len")
     if trace_path is not None and n_trials != 1:
         raise ValueError("a trace covers a batch of exactly one trial")
     carry = (_PackedCarry if 2 * m <= _TABLE_MAX_BITS else _WideCarry)(m, n_trials)
@@ -559,8 +582,6 @@ def _counter_dtype(width, nodes):
     A flipped top bit takes a sum down to -2^(width-1) - 2. Wider counters
     are rejected once 2^width times the node count overflows int64.
     """
-    if width < 1:
-        raise ValueError("counter width must be >= 1")
     if nodes << width > np.iinfo(np.int64).max:
         raise ValueError(f"counter width {width} is too wide for {nodes} nodes")
     bound = 2 ** (width - 1) + 2
@@ -598,7 +619,7 @@ def tree_batch(products, counter_width, fault_schedules=None):
     n_trials, lanes, n_cycles = products.shape
     if lanes < 2 or lanes & (lanes - 1):
         raise ValueError("tree batch needs a power-of-two lane count >= 2")
-    width = int(counter_width)
+    width = _positive(counter_width, "counter width")
     nodes = lanes - 1
     dtype = _counter_dtype(width, nodes)
     c_max = 2 ** (width - 1) - 1
@@ -626,7 +647,7 @@ def tree_batch(products, counter_width, fault_schedules=None):
             # toggle the raw two's-complement bits, then sign-extend
             trials, cells = flips[cycle]
             raw = counters & (wrap - 1)
-            np.bitwise_xor.at(raw, (trials, cells // width), (1 << cells % width).astype(dtype))
+            _toggle(raw, trials, cells, width)
             raw -= (raw >= half) * wrap
             faulted += (raw - counters).sum(axis=1, dtype=np.int64)
             counters[:] = raw
@@ -677,8 +698,7 @@ def adder_batch(x, y, capacity):
     y = _int8_in(y, -1, "ternary symbols")
     if x.shape != y.shape or x.ndim != 2:
         raise ValueError("adder inputs must share a (pairs, positions) shape")
-    if capacity < 1:
-        raise ValueError("register capacity must be at least 1")
+    _positive(capacity, "register capacity")
     n_pairs, length = x.shape
     # position-major, so that every position is one contiguous row of pairs
     sums = np.ascontiguousarray((x.astype(np.int64) + y).T)

@@ -100,10 +100,8 @@ def _cmd_inner_product(args):
     rng = RandomSource(seed)
     truth = float(np.dot(x, y))
     if cfg.design == "novel":
-        # an ExperimentConfig has every field the engine reads from an EngineConfig
         stream, diag = engine_mod.run_inner_product(x, y, cfg, rng, trace_path=args.trace)
         estimate = decode_tlb(stream)
-        overflow = diag.overflow_events
         extra = {
             "cc_cancellations": diag.cc_cancellations,
             "residual_pos": diag.residual_pos,
@@ -114,8 +112,8 @@ def _cmd_inner_product(args):
             x, y, cfg.counter_width, cfg.stream_len, rng
         )
         estimate = decode_sm(stream)
-        overflow = diag.saturation_events
         extra = {"residual_sum": diag.residual_sum}
+    overflow = diag.overflow_events
     print(f"estimate: {estimate!r}")
     print(f"true: {truth!r}")
     print(f"abs_error: {abs(estimate - truth)!r}")

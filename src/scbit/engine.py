@@ -32,25 +32,9 @@ from .batch import _one_trial_faults, encode_tlb_products, engine_batch
 from .streams import TlbStream, encode_tlb  # noqa: F401
 
 __all__ = [
-    "EngineConfig",
     "EngineDiagnostics",
     "run_inner_product",
 ]
-
-
-@dataclass
-class EngineConfig:
-    lanes: int  # K, vector length
-    carry_len: int  # M, carry shift register capacity
-    stream_len: int  # L, bit stream length
-    cc_enabled: bool = True
-    shift_direction: str = "opposite"  # or "same"
-
-    def __post_init__(self):
-        if self.lanes < 1 or self.carry_len < 1 or self.stream_len < 1:
-            raise ValueError("lanes, carry_len and stream_len must all be >= 1")
-        if self.shift_direction not in ("opposite", "same"):
-            raise ValueError("shift_direction must be 'opposite' or 'same'")
 
 
 @dataclass
@@ -71,12 +55,13 @@ class EngineDiagnostics:
 def run_inner_product(x, y, config, rng, fault_schedule=None, trace_path=None):
     """Encode two vectors, run the engine for L cycles, decode nothing.
 
-    Returns the raw output stream plus diagnostics; the decoded estimate is
-    ``decode_tlb(stream)``. Lane encoders draw from independent child
-    sources of ``rng`` (x lanes first, then y lanes). ``fault_schedule``
-    is an optional iterable of (cycle, cell) pairs; each named carry cell
-    is toggled at the start of that main-clock cycle, and a cell outside
-    [0, 2M) is a ValueError. ``trace_path`` writes the per-cycle trace CSV.
+    ``config`` is an ``ExperimentConfig``. Returns the raw output stream
+    plus diagnostics; the decoded estimate is ``decode_tlb(stream)``. Lane
+    encoders draw from independent child sources of ``rng`` (x lanes
+    first, then y lanes). ``fault_schedule`` is an optional iterable of
+    (cycle, cell) pairs; each named carry cell is toggled at the start of
+    that main-clock cycle, and a cell outside [0, 2M) is a ValueError.
+    ``trace_path`` writes the per-cycle trace CSV.
     """
     if len(x) != config.lanes or len(y) != config.lanes:
         raise ValueError(f"x and y must have exactly {config.lanes} entries")

@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .batch import (
+    _positive,
     canceler_batch,
     draw_fault_schedule,
     encode_sm_products,
@@ -461,9 +462,7 @@ def run_canceler_experiment(lanes_values, trials, seed, cc_enabled=True):
         raise ValueError("trials must be >= 1")
     rows = []
     for lanes in lanes_values:
-        lanes = int(lanes)
-        if lanes < 1:
-            raise ValueError("lane counts must be >= 1")
+        lanes = _positive(lanes, "lane counts")
         point = np.random.SeedSequence((int(seed), 2, lanes, int(trials)))
         rng = RandomSource(_sequence=point)
         hold_pos = (rng.uniform((trials, lanes)) < 0.5).astype(np.int8)

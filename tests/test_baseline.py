@@ -147,10 +147,6 @@ def test_run_tree_padding():
     stream, _ = run_tree_inner_product([0.5, 0.2, -0.1], [0.4, 0.1, 0.3], 4, 500, RandomSource(2))
     assert stream.length == 500
     assert run_tree_inner_product([0.5], [0.5], 4, 9, RandomSource(2))[0].length == 9
-    with pytest.raises(ValueError):
-        run_tree_inner_product(
-            [0.5, 0.2, -0.1], [0.4, 0.1, 0.3], 4, 500, RandomSource(2), pad_lanes=False
-        )
 
 
 def test_run_tree_domain_errors():
@@ -195,3 +191,12 @@ def test_run_tree_fault_schedule():
             run_tree_inner_product(
                 [0, 0], [0, 0], 4, 8, RandomSource(4), fault_schedule=[(0, cell)]
             )
+    # a flat list is not read as one pair, nor a float cycle truncated
+    for schedule in ([3, 0], [(1.7, 2)], [(True, 0)], [(0, 1, 2)]):
+        with pytest.raises(ValueError, match="pairs of integers"):
+            run_tree_inner_product(
+                [0, 0], [0, 0], 4, 8, RandomSource(4), fault_schedule=schedule
+            )
+    # an empty schedule is a clean run
+    empty = run_tree_inner_product([0, 0], [0, 0], 4, 64, RandomSource(4), fault_schedule=[])
+    assert empty == run_tree_inner_product([0, 0], [0, 0], 4, 64, RandomSource(4))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scbit import EngineConfig, RandomSource, run_inner_product, tlb_multiply
+from scbit import ExperimentConfig, RandomSource, run_inner_product, tlb_multiply
 from scbit import batch, encode_tlb, ternary_values
 from scbit.batch import (
     adder_batch,
@@ -180,8 +180,12 @@ def test_engine_batch_matches_scalar(cc_enabled, direction):
         lanes = int(rng.integers(1, 6))
         carry_len = int(rng.integers(1, 5))
         stream_len = int(rng.integers(20, 120))
-        config = EngineConfig(
-            lanes, carry_len, stream_len, cc_enabled=cc_enabled, shift_direction=direction
+        config = ExperimentConfig(
+            lanes=lanes,
+            carry_len=carry_len,
+            stream_len=stream_len,
+            cc_enabled=cc_enabled,
+            shift_direction=direction,
         )
         check_engine([int(rng.integers(0, 2**32))], config)
 
@@ -189,7 +193,9 @@ def test_engine_batch_matches_scalar(cc_enabled, direction):
 def test_engine_batch_matches_scalar_under_faults():
     rng = np.random.default_rng(22)
     for trial in range(4):
-        config = EngineConfig(int(rng.integers(1, 5)), int(rng.integers(2, 5)), 80)
+        config = ExperimentConfig(
+            lanes=int(rng.integers(1, 5)), carry_len=int(rng.integers(2, 5)), stream_len=80
+        )
         check_engine([int(rng.integers(0, 2**32))], config, p_flip=0.1)
 
 
@@ -213,7 +219,7 @@ def test_engine_batch_conservation_flag():
 
 # K in [1, 64]; M in [1, 10] spans both carry steppers (table while 2M <= 16)
 engine_configs = st.builds(
-    EngineConfig,
+    ExperimentConfig,
     lanes=st.integers(1, 64),
     carry_len=st.integers(1, 10),
     stream_len=st.integers(1, 40),
@@ -307,7 +313,9 @@ def test_carry_table_pinned(m):
 @pytest.mark.parametrize("carry_len", (9, 32, 33, 64, 65))
 @pytest.mark.parametrize("n_trials", (1, 3))
 def test_wide_engine_matches_scalar_under_faults(carry_len, n_trials):
-    config = EngineConfig(5, carry_len, 150, cc_enabled=carry_len % 2 == 1)
+    config = ExperimentConfig(
+        lanes=5, carry_len=carry_len, stream_len=150, cc_enabled=carry_len % 2 == 1
+    )
     seeds = [carry_len * 10 + t for t in range(n_trials)]
     check_engine(seeds, config, p_flip=0.05, check=True)
 
@@ -476,13 +484,27 @@ def test_kernels_reject_non_ternary_symbols(bad):
             run()
 
 
+@pytest.mark.parametrize("size", (2.5, True, np.float64(2.0)), ids=("2.5", "True", "float64-2"))
+def test_kernels_reject_non_integer_sizes(size):
+    # int() would truncate 2.5 to 2; a bool is not a size
+    products = np.ones((1, 2, 4), np.int8)
+    with pytest.raises(ValueError, match="carry_len"):
+        engine_batch(products, size)
+    with pytest.raises(ValueError, match="width"):
+        tree_batch(products, size)
+    with pytest.raises(ValueError, match="capacity"):
+        adder_batch(products[0], products[0], size)
+
+
 # -- shift-direction experiment kernel ----------------------------------------
 
 
 def canceler_reference(hold_p, hold_n, direction, cc):
     """The oracle engine's drain sequence, after the load-path canceling."""
     k = len(hold_p)
-    config = EngineConfig(k, 1, 1, cc_enabled=cc, shift_direction=direction)
+    config = ExperimentConfig(
+        lanes=k, carry_len=1, stream_len=1, cc_enabled=cc, shift_direction=direction
+    )
     engine = oracles.InnerProductEngine(config)
     both = np.array(hold_p) & np.array(hold_n) if cc else 0
     engine.hold_pos[:] = np.array(hold_p) ^ both

@@ -6,14 +6,13 @@ from dataclasses import fields
 import pytest
 
 from scbit import (
-    EngineConfig,
+    ExperimentConfig,
     RandomSource,
     decode_tlb,
     read_stream_csv,
     run_inner_product,
 )
 from scbit.cli import build_parser, main
-from scbit.experiments import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -164,7 +163,7 @@ def test_inner_product_matches_library(tmp_path, capsys):
         "--out", str(tmp_path / "diag.json"),
     )
     assert code == 0
-    config = EngineConfig(lanes=2, carry_len=4, stream_len=2000)
+    config = ExperimentConfig(lanes=2, carry_len=4, stream_len=2000)
     stream, _ = run_inner_product(x, y, config, RandomSource(9))
     estimate = decode_tlb(stream)
     lines = dict(line.split(": ") for line in stdout.strip().splitlines())

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import PAIR, EngineStateError, InnerProductEngine, carry_cancel, drive_cycle
-from scbit import EngineConfig, RandomSource, decode_tlb, run_inner_product
+from scbit import ExperimentConfig, RandomSource, decode_tlb, run_inner_product
 
 
 def make_engine(lanes=2, carry_len=4, stream_len=16, **kw):
-    return InnerProductEngine(EngineConfig(lanes, carry_len, stream_len, **kw))
+    config = ExperimentConfig(lanes=lanes, carry_len=carry_len, stream_len=stream_len, **kw)
+    return InnerProductEngine(config)
 
 
 # -- combinational cells ----------------------------------------------------
@@ -182,7 +183,7 @@ def test_flip_carry_cell_mapping():
 
 
 def test_run_zero_vectors():
-    config = EngineConfig(lanes=2, carry_len=4, stream_len=256)
+    config = ExperimentConfig(lanes=2, carry_len=4, stream_len=256)
     stream, diag = run_inner_product([0, 0], [0, 0], config, RandomSource(1))
     assert decode_tlb(stream) == 0.0
     assert diag.residual_pos == 0 and diag.residual_neg == 0
@@ -190,7 +191,7 @@ def test_run_zero_vectors():
 
 
 def test_run_domain_errors():
-    config = EngineConfig(lanes=2, carry_len=4, stream_len=8)
+    config = ExperimentConfig(lanes=2, carry_len=4, stream_len=8)
     with pytest.raises(ValueError):
         run_inner_product([1.5, 0], [0, 0], config, RandomSource(1))
     with pytest.raises(ValueError):
@@ -198,7 +199,7 @@ def test_run_domain_errors():
 
 
 def test_run_reproducible():
-    config = EngineConfig(lanes=3, carry_len=4, stream_len=300)
+    config = ExperimentConfig(lanes=3, carry_len=4, stream_len=300)
     a, _ = run_inner_product([0.5, -0.2, 0.8], [0.1, 0.9, -0.4], config, RandomSource(5))
     b, _ = run_inner_product([0.5, -0.2, 0.8], [0.1, 0.9, -0.4], config, RandomSource(5))
     assert a == b
@@ -206,7 +207,7 @@ def test_run_reproducible():
 
 def test_run_k2_monte_carlo():
     # true inner product 0.5 - 0.5 = 0; mean over 100 seeds within 0.02
-    config = EngineConfig(lanes=2, carry_len=6, stream_len=10_000)
+    config = ExperimentConfig(lanes=2, carry_len=6, stream_len=10_000)
     root = RandomSource(31)
     estimates = [
         decode_tlb(run_inner_product([1.0, 1.0], [0.5, -0.5], config, src)[0])
@@ -217,7 +218,7 @@ def test_run_k2_monte_carlo():
 
 def test_run_trace_csv(tmp_path):
     path = tmp_path / "engine.csv"
-    config = EngineConfig(lanes=2, carry_len=2, stream_len=3)
+    config = ExperimentConfig(lanes=2, carry_len=2, stream_len=3)
     run_inner_product([1.0, -1.0], [1.0, 1.0], config, RandomSource(2), trace_path=path)
     lines = path.read_text().splitlines()
     assert lines[0] == "l,substep,ps_front,ns_front,pc_count,nc_count,zp,zn,cc_cancellations"
@@ -226,7 +227,7 @@ def test_run_trace_csv(tmp_path):
 
 
 def test_run_fault_schedule_applied():
-    config = EngineConfig(lanes=1, carry_len=4, stream_len=4)
+    config = ExperimentConfig(lanes=1, carry_len=4, stream_len=4)
     # flip a positive-carry cell right before the first cycle of zeros:
     # the phantom carry is emitted as a spurious one
     stream, _ = run_inner_product(
@@ -236,6 +237,13 @@ def test_run_fault_schedule_applied():
     assert stream.pos.popcount() == 1
     with pytest.raises(ValueError, match="fault cells"):
         run_inner_product([0.0], [0.0], config, RandomSource(3), fault_schedule=[(0, 8)])
+    # a flat list is not read as one pair, nor a float cycle truncated
+    for schedule in ([3, 0], [(1.7, 2)], [(True, 0)], [(0, 1, 2)]):
+        with pytest.raises(ValueError, match="pairs of integers"):
+            run_inner_product([0.0], [0.0], config, RandomSource(3), fault_schedule=schedule)
+    # an empty schedule is a clean run
+    clean = run_inner_product([0.0], [0.0], config, RandomSource(3))
+    assert run_inner_product([0.0], [0.0], config, RandomSource(3), fault_schedule=[]) == clean
 
 
 # -- conservation law -------------------------------------------------------
@@ -252,7 +260,7 @@ def test_engine_conservation_every_step(cc_enabled):
     rng = np.random.default_rng(77)
     for _ in range(10):
         lanes = int(rng.integers(1, 6))
-        config = EngineConfig(lanes, carry_len=32, stream_len=120, cc_enabled=cc_enabled)
+        config = ExperimentConfig(lanes=lanes, carry_len=32, stream_len=120, cc_enabled=cc_enabled)
         engine = InnerProductEngine(config)
         loaded = 0
         emitted = 0
@@ -276,7 +284,7 @@ def test_engine_conservation_every_step(cc_enabled):
 
 
 def test_same_direction_smoke():
-    config = EngineConfig(lanes=4, carry_len=8, stream_len=2000, shift_direction="same")
+    config = ExperimentConfig(lanes=4, carry_len=8, stream_len=2000, shift_direction="same")
     stream, _ = run_inner_product(
         [0.5, -0.3, 0.2, 0.7], [0.5, 0.5, -0.5, 0.1], config, RandomSource(9)
     )

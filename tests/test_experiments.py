@@ -249,6 +249,13 @@ def test_canceler_rows_and_columns():
     assert directions == {"opposite", "same"}
 
 
+@pytest.mark.parametrize("lanes", (2.5, True))
+def test_canceler_rejects_non_integer_lane_counts(lanes):
+    # int() would run K = 2.5 as K = 2, and True as K = 1
+    with pytest.raises(ValueError, match="lane counts"):
+        run_canceler_experiment([lanes], 10, 1)
+
+
 def test_canceler_k1_modes_agree():
     sweep = run_canceler_experiment([1], trials=5000, seed=5)
     by_dir = {r["direction"]: r for r in sweep.rows}

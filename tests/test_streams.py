@@ -326,8 +326,8 @@ def test_stream_csv_bytes_pinned(tmp_path, kind, digest):
 
 def test_package_exports_pinned():
     assert sorted(scbit.__all__) == [
-        "AdderDiagnostics", "BitStream", "EngineConfig", "EngineDiagnostics",
-        "ExperimentConfig", "RandomSource", "SmStream", "SweepResult", "TlbStream",
+        "AdderDiagnostics", "BitStream", "EngineDiagnostics", "ExperimentConfig",
+        "RandomSource", "SmStream", "SweepResult", "TlbStream",
         "TreeDiagnostics", "decode_bipolar", "decode_sm", "decode_tlb",
         "decode_unipolar", "encode_bipolar", "encode_sm", "encode_tlb",
         "encode_unipolar", "nonscaled_add", "read_stream_csv", "rmse",
