@@ -20,14 +20,13 @@ injected faults.
 import contextlib
 import csv
 import functools
-import numbers
 
 import numpy as np
 
-from .convert import sm_multiply_bit
+from .streams import SmStream, TlbStream, _integer, _is_integer, encode_sm, encode_tlb
 
 # ternary_values is unused here, but perfbench/tracer.py wraps it by this name
-from .streams import encode_sm, encode_tlb, ternary_values  # noqa: F401
+from .streams import ternary_values  # noqa: F401
 
 __all__ = [
     "encode_tlb_products",
@@ -47,31 +46,6 @@ TRACE_COLUMNS = (
 )
 
 
-def _lane_streams(encode, x, y, stream_len, rng):
-    """One ``encode`` call per lane on its own child source, x lanes first."""
-    if len(x) != len(y):
-        raise ValueError("x and y must have the same number of lanes")
-    sources = rng.spawn(2 * len(x))
-    values = [float(v) for v in x] + [float(v) for v in y]
-    return [encode(v, stream_len, src) for v, src in zip(values, sources)]
-
-
-def _stack(lines, stream_len):
-    """(lanes, stream_len) uint8 array of bit vectors; (0, stream_len) if none."""
-    return np.array(lines, dtype=np.uint8).reshape(-1, stream_len)
-
-
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _positive(value, what):
-    """``value`` as an int, or ValueError unless it is an integer >= 1; bools are not."""
-    if not _is_integer(value) or value < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def _int8_in(values, low, what):
     """``values`` as an int8 array, after checking every entry is an integer
     from ``low`` to 1: -1 for ternary symbols, 0 for hold bits.
@@ -86,28 +60,28 @@ def _int8_in(values, low, what):
     return values.astype(np.int8, copy=False)
 
 
-def encode_tlb_products(x, y, stream_len, rng):
-    """Per-lane ternary product streams for the sequential engine.
-
-    Lane k multiplies the streams of x[k] and y[k], drawn from child
-    sources k and K + k of ``rng``.
-    """
+def _lane_products(encode, cls, x, y, stream_len, rng):
+    """(K, stream_len) int8 lane products: lane k multiplies the ternary
+    symbols (``cls._ternary``) of the ``encode`` streams of x[k] and y[k],
+    drawn from child sources k and K + k of ``rng``."""
     k = len(x)
-    streams = _lane_streams(encode_tlb, x, y, stream_len, rng)
-    pos = _stack([s.pos.bits for s in streams], stream_len).view(np.int8)
-    neg = _stack([s.neg.bits for s in streams], stream_len).view(np.int8)
-    terns = pos - neg
+    if k != len(y):
+        raise ValueError("x and y must have the same number of lanes")
+    sources = rng.spawn(2 * k)
+    streams = [encode(float(v), stream_len, src) for v, src in zip([*x, *y], sources)]
+    lines = [np.array([getattr(s, n).bits for s in streams], np.uint8) for n in cls.__slots__]
+    terns = cls._ternary(*(a.reshape(-1, stream_len).view(np.int8) for a in lines))
     return terns[:k] * terns[k:]
+
+
+def encode_tlb_products(x, y, stream_len, rng):
+    """Per-lane ternary product streams for the sequential engine."""
+    return _lane_products(encode_tlb, TlbStream, x, y, stream_len, rng)
 
 
 def encode_sm_products(x, y, stream_len, rng):
     """Per-lane ternary product streams for the adder-tree design."""
-    k = len(x)
-    streams = _lane_streams(encode_sm, x, y, stream_len, rng)
-    sign = _stack([s.sign.bits for s in streams], stream_len)
-    mag = _stack([s.magnitude.bits for s in streams], stream_len)
-    prod_sign, prod_mag = sm_multiply_bit(sign[:k], mag[:k], sign[k:], mag[k:])
-    return (1 - 2 * prod_sign.view(np.int8)) * prod_mag.view(np.int8)
+    return _lane_products(encode_sm, SmStream, x, y, stream_len, rng)
 
 
 def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
@@ -119,9 +93,11 @@ def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
     and keeps the schedule small. Returns (cycles, bits) arrays sorted by
     cycle.
     """
+    n_bits = _integer(n_bits, "storage bit count", low=0)
+    n_cycles = _integer(n_cycles, "cycle count", low=0)
     if not 0.0 <= p_flip <= 1.0:
         raise ValueError("flip probability must lie in [0, 1]")
-    total = int(n_bits) * int(n_cycles)
+    total = n_bits * n_cycles
     count = rng.binomial(total, p_flip) if p_flip > 0.0 else 0
     if count == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -131,13 +107,18 @@ def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
 
 
 def _one_trial_faults(schedule):
-    """Batch fault arrays for one trial from (cycle, cell) pairs of integers;
-    None stays None. A flat list or a float is a ValueError, not reinterpreted."""
+    """Batch fault arrays for one trial from (cycle, cell) pairs of int64
+    integers; None stays None. A flat list, a float or an integer past int64
+    is a ValueError, not reinterpreted."""
     if schedule is None:
         return None
     pairs = np.array(list(schedule), dtype=object)
-    if len(pairs) and (pairs.shape[1:] != (2,) or not all(map(_is_integer, pairs.flat))):
-        raise ValueError("a fault schedule holds (cycle, cell) pairs of integers")
+    fits = np.iinfo(np.int64)
+    if len(pairs) and (
+        pairs.shape[1:] != (2,)
+        or not all(_is_integer(v) and fits.min <= v <= fits.max for v in pairs.flat)
+    ):
+        raise ValueError("a fault schedule holds (cycle, cell) pairs of integers within int64")
     return merge_fault_schedules([pairs.reshape(-1, 2).astype(np.int64).T])
 
 
@@ -499,7 +480,7 @@ def engine_batch(
     """
     products = _int8_in(products, -1, "ternary symbols")
     n_trials, lanes, n_cycles = products.shape
-    m = _positive(carry_len, "carry_len")
+    m = _integer(carry_len, "carry_len")
     if trace_path is not None and n_trials != 1:
         raise ValueError("a trace covers a batch of exactly one trial")
     carry = (_PackedCarry if 2 * m <= _TABLE_MAX_BITS else _WideCarry)(m, n_trials)
@@ -619,7 +600,7 @@ def tree_batch(products, counter_width, fault_schedules=None):
     n_trials, lanes, n_cycles = products.shape
     if lanes < 2 or lanes & (lanes - 1):
         raise ValueError("tree batch needs a power-of-two lane count >= 2")
-    width = _positive(counter_width, "counter width")
+    width = _integer(counter_width, "counter width")
     nodes = lanes - 1
     dtype = _counter_dtype(width, nodes)
     c_max = 2 ** (width - 1) - 1
@@ -698,7 +679,7 @@ def adder_batch(x, y, capacity):
     y = _int8_in(y, -1, "ternary symbols")
     if x.shape != y.shape or x.ndim != 2:
         raise ValueError("adder inputs must share a (pairs, positions) shape")
-    _positive(capacity, "register capacity")
+    _integer(capacity, "register capacity")
     n_pairs, length = x.shape
     # position-major, so that every position is one contiguous row of pairs
     sums = np.ascontiguousarray((x.astype(np.int64) + y).T)

@@ -1,9 +1,8 @@
 """The multiplier cell's bit logic: TLB/SM conversion and the SM product.
 
 The bit functions are the single place this logic is written. They take
-0/1 ints or uint8 arrays alike, so the stream converters, the TLB
-multiplier in ``adder.py`` and the tree's product encoder in ``batch.py``
-all call them. Both conversions preserve the per-position ternary symbol.
+0/1 ints or uint8 arrays alike, so the stream converters and the TLB
+multiplier in ``adder.py`` call them. Both conversions preserve the per-position ternary symbol.
 The don't-care sign bit of a zero-magnitude SM position is resolved as
 s = n, and the TLB pair produced from SM is canonical: (1,1) never appears.
 """

@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .batch import (
-    _positive,
     canceler_batch,
     draw_fault_schedule,
     encode_sm_products,
@@ -41,6 +40,7 @@ from .batch import (
     tree_batch,
 )
 from .rng import RandomSource
+from .streams import _integer
 
 __all__ = [
     "ExperimentConfig",
@@ -458,12 +458,12 @@ def run_canceler_experiment(lanes_values, trials, seed, cc_enabled=True):
     steps. Rows report the per-direction estimates with their Monte Carlo
     standard errors.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _integer(trials, "trials")
+    seed = _integer(seed, "seed", low=0)
+    lanes_values = [_integer(lanes, "lane counts") for lanes in lanes_values]
     rows = []
     for lanes in lanes_values:
-        lanes = _positive(lanes, "lane counts")
-        point = np.random.SeedSequence((int(seed), 2, lanes, int(trials)))
+        point = np.random.SeedSequence((seed, 2, lanes, trials))
         rng = RandomSource(_sequence=point)
         hold_pos = (rng.uniform((trials, lanes)) < 0.5).astype(np.int8)
         hold_neg = (rng.uniform((trials, lanes)) < 0.5).astype(np.int8)
@@ -477,7 +477,7 @@ def run_canceler_experiment(lanes_values, trials, seed, cc_enabled=True):
                 {
                     "direction": direction,
                     "K": lanes,
-                    "trials": int(trials),
+                    "trials": trials,
                     "cc_enabled": cc_enabled,
                     "p_p": float(per_trial_p.mean()),
                     "p_n": float(per_trial_n.mean()),
@@ -487,14 +487,14 @@ def run_canceler_experiment(lanes_values, trials, seed, cc_enabled=True):
                     "se_n": float(per_trial_n.std(ddof=1) / math.sqrt(trials))
                     if trials > 1
                     else 0.0,
-                    "seed": int(seed),
+                    "seed": seed,
                 }
             )
     meta = {
         "sweep": "canceler",
-        "grid": {"lanes": [int(v) for v in lanes_values]},
-        "trials": int(trials),
-        "seed": int(seed),
+        "grid": {"lanes": lanes_values},
+        "trials": trials,
+        "seed": seed,
         "cc_enabled": bool(cc_enabled),
         "notes": {
             "protocol": (

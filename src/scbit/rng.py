@@ -16,6 +16,8 @@ import functools
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .streams import _integer
+
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy-mixing hash
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state hash
@@ -95,8 +97,7 @@ class RandomSource:
 
     def spawn(self, n):
         """Split off ``n`` independent child sources."""
-        if n < 0:
-            raise ValueError("cannot spawn a negative number of sources")
+        n = _integer(n, "the number of sources to spawn", low=0)
         first = self._spawned
         self._spawned += n
         # Child i mixes in the low word of i and, once i >= 2**32, its high word.

@@ -11,10 +11,11 @@ encodings:
 Per position, a two-line stream carries a ternary symbol in {-1, 0, +1}:
 ``pos - neg`` for TLB and ``(1 - 2*sign) * mag`` for SM. ``TlbStream`` and
 ``SmStream`` share one base class, which validates the two lines and holds
-length, equality and repr; each subclass only names its lines in
-``__slots__``. ``FORMATS`` is the one table of formats: it maps each name to
-its encoder, decoder, stream class and stream-file columns, and the
-stream-file reader and writer and the CLI read it.
+length, equality and repr; each subclass names its lines in ``__slots__``
+and writes its ternary rule as the static ``_ternary`` on int8 lines.
+``FORMATS`` is the one table of formats: it maps each name to its encoder,
+decoder, stream class and stream-file columns, and the stream-file reader
+and writer and the CLI read it.
 
 Generation uses the comparator construction: a bit is 1 whenever the next
 uniform sample falls below the target probability. Streams are stored as
@@ -23,6 +24,7 @@ in the ``l`` column of trace CSV files.
 """
 
 import csv
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -156,24 +158,42 @@ class TlbStream(_TwoLineStream):
 
     __slots__ = ("pos", "neg")
 
+    @staticmethod
+    def _ternary(pos, neg):
+        return pos - neg
+
 
 class SmStream(_TwoLineStream):
     """Signed-magnitude stream: value is mean((1 - 2*sign) * magnitude)."""
 
     __slots__ = ("sign", "magnitude")
 
+    @staticmethod
+    def _ternary(sign, magnitude):
+        return (1 - 2 * sign) * magnitude
 
-def _check_length(length):
-    if int(length) < 1:
-        raise ValueError("stream length must be at least 1")
-    return int(length)
+
+def _is_integer(value):
+    # exact int first: encoders call this per lane, and the ABC check is slow
+    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+
+
+def _integer(value, what, low=1):
+    """``value`` as an int, or ValueError unless it is an integer >= ``low``.
+
+    Bools, floats and strings are rejected, not truncated by ``int()``.
+    """
+    if not _is_integer(value) or value < low:
+        bound = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{what} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def encode_unipolar(x, length, rng):
     """Draw a Bernoulli(x) stream of the given length."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"unipolar value must be in [0, 1], got {x}")
-    length = _check_length(length)
+    length = _integer(length, "stream length")
     return _wrap_bits(_draw(x, length, rng))
 
 
@@ -186,7 +206,7 @@ def encode_bipolar(x, length, rng):
     """Single-stream encoding of x in [-1, 1] via Bernoulli((x+1)/2)."""
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"bipolar value must be in [-1, 1], got {x}")
-    length = _check_length(length)
+    length = _integer(length, "stream length")
     return _wrap_bits(_draw((x + 1.0) / 2.0, length, rng))
 
 
@@ -203,7 +223,7 @@ def encode_tlb(x, length, rng):
     """
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"two-line bipolar value must be in [-1, 1], got {x}")
-    length = _check_length(length)
+    length = _integer(length, "stream length")
     magnitude = _draw(abs(x), length, rng)
     zero = np.zeros(length, dtype=np.uint8)
     if x >= 0:
@@ -220,7 +240,7 @@ def encode_sm(x, length, rng):
     """Signed-magnitude encoding: constant sign bit, Bernoulli(|x|) magnitude."""
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"signed-magnitude value must be in [-1, 1], got {x}")
-    length = _check_length(length)
+    length = _integer(length, "stream length")
     magnitude = _draw(abs(x), length, rng)
     sign = np.full(length, x < 0, dtype=np.uint8)
     return _wrap_pair(SmStream, sign, magnitude)
@@ -233,12 +253,9 @@ def decode_sm(stream):
 
 def ternary_values(stream):
     """Per-position ternary symbols of a two-line stream as an int8 array."""
-    if isinstance(stream, TlbStream):
-        return stream.pos.bits.astype(np.int8) - stream.neg.bits.astype(np.int8)
-    if isinstance(stream, SmStream):
-        sign = stream.sign.bits.astype(np.int8)
-        return (1 - 2 * sign) * stream.magnitude.bits.astype(np.int8)
-    raise TypeError("ternary symbols are defined for TlbStream and SmStream")
+    if not isinstance(stream, _TwoLineStream):
+        raise TypeError("ternary symbols are defined for TlbStream and SmStream")
+    return type(stream)._ternary(*(line.bits.view(np.int8) for line in stream._lines()))
 
 
 def ternary_at(stream, index):

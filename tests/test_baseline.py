@@ -191,8 +191,9 @@ def test_run_tree_fault_schedule():
             run_tree_inner_product(
                 [0, 0], [0, 0], 4, 8, RandomSource(4), fault_schedule=[(0, cell)]
             )
-    # a flat list is not read as one pair, nor a float cycle truncated
-    for schedule in ([3, 0], [(1.7, 2)], [(True, 0)], [(0, 1, 2)]):
+    # a flat list is not read as one pair, a float cycle truncated, nor a huge
+    # cell left to overflow the int64 cast
+    for schedule in ([3, 0], [(1.7, 2)], [(True, 0)], [(0, 1, 2)], [(0, 2**70)]):
         with pytest.raises(ValueError, match="pairs of integers"):
             run_tree_inner_product(
                 [0, 0], [0, 0], 4, 8, RandomSource(4), fault_schedule=schedule

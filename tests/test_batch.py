@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scbit import ExperimentConfig, RandomSource, run_inner_product, tlb_multiply
-from scbit import batch, encode_tlb, ternary_values
+from scbit import ExperimentConfig, RandomSource, SmStream, run_inner_product, tlb_multiply
+from scbit import batch, encode_sm, encode_tlb, sm_multiply_bit, sm_to_tlb, ternary_values
 from scbit.batch import (
     adder_batch,
     canceler_batch,
@@ -51,15 +51,30 @@ def test_product_encoders_pinned(encode, lanes, stream_len, digest):
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
-def test_tlb_products_are_lane_multiplier_outputs():
+def sm_multiply(x, y):
+    # through sm_to_tlb, so that the expected symbols do not share
+    # SmStream._ternary with the encoder under test
+    product = sm_multiply_bit(x.sign.bits, x.magnitude.bits, y.sign.bits, y.magnitude.bits)
+    return sm_to_tlb(SmStream(*product))
+
+
+@pytest.mark.parametrize(
+    "encode,multiply,products",
+    [
+        (encode_tlb, tlb_multiply, encode_tlb_products),
+        (encode_sm, sm_multiply, encode_sm_products),
+    ],
+    ids=("tlb", "sm"),
+)
+def test_product_encoders_are_lane_multiplier_outputs(encode, multiply, products):
     # lane k multiplies the streams of x[k] and y[k], drawn from child k and K + k
     x, y = product_inputs(8)
     sources = RandomSource(5).spawn(16)
     want = [
-        ternary_values(tlb_multiply(encode_tlb(a, 300, sx), encode_tlb(b, 300, sy)))
+        ternary_values(multiply(encode(a, 300, sx), encode(b, 300, sy)))
         for a, b, sx, sy in zip(x, y, sources[:8], sources[8:])
     ]
-    assert np.array_equal(encode_tlb_products(x, y, 300, RandomSource(5)), want)
+    assert np.array_equal(products(x, y, 300, RandomSource(5)), want)
 
 
 @pytest.mark.parametrize("encode", [encode_tlb_products, encode_sm_products])
@@ -107,6 +122,16 @@ def test_fault_schedule_edges():
     assert bits.min() == 0 and bits.max() == 7
     with pytest.raises(ValueError):
         draw_fault_schedule(rng, 8, 10, 1.5)
+
+
+@pytest.mark.parametrize("n_bits,n_cycles", [(2.7, 10), (2, 10.9), (True, 10), (2, True)])
+def test_fault_schedule_rejects_non_integer_sizes(n_bits, n_cycles):
+    # int() would truncate 2.7 to 2; the check runs before any draw
+    rng = RandomSource(0)
+    state = rng._gen.bit_generator.state
+    with pytest.raises(ValueError, match="count"):
+        draw_fault_schedule(rng, n_bits, n_cycles, 0.5)
+    assert rng._gen.bit_generator.state == state
 
 
 def test_fault_schedule_rate():

@@ -237,8 +237,9 @@ def test_run_fault_schedule_applied():
     assert stream.pos.popcount() == 1
     with pytest.raises(ValueError, match="fault cells"):
         run_inner_product([0.0], [0.0], config, RandomSource(3), fault_schedule=[(0, 8)])
-    # a flat list is not read as one pair, nor a float cycle truncated
-    for schedule in ([3, 0], [(1.7, 2)], [(True, 0)], [(0, 1, 2)]):
+    # a flat list is not read as one pair, a float cycle truncated, nor a huge
+    # cycle left to overflow the int64 cast
+    for schedule in ([3, 0], [(1.7, 2)], [(True, 0)], [(0, 1, 2)], [(2**70, 0)]):
         with pytest.raises(ValueError, match="pairs of integers"):
             run_inner_product([0.0], [0.0], config, RandomSource(3), fault_schedule=schedule)
     # an empty schedule is a clean run

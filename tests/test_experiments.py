@@ -256,6 +256,22 @@ def test_canceler_rejects_non_integer_lane_counts(lanes):
         run_canceler_experiment([lanes], 10, 1)
 
 
+@pytest.mark.parametrize(
+    "trials,seed,what",
+    [
+        (10, 1.5, "seed"),
+        (10, True, "seed"),
+        (10, -1, "seed"),
+        (2.5, 1, "trials"),
+        (True, 1, "trials"),
+    ],
+)
+def test_canceler_rejects_bad_trials_and_seed(trials, seed, what):
+    # int() would run seed 1.5 as seed 1; numpy would fail later, or not at all
+    with pytest.raises(ValueError, match=what):
+        run_canceler_experiment([2], trials, seed)
+
+
 def test_canceler_k1_modes_agree():
     sweep = run_canceler_experiment([1], trials=5000, seed=5)
     by_dir = {r["direction"]: r for r in sweep.rows}

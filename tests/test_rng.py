@@ -74,6 +74,17 @@ def test_spawn_zero_and_spawned_sequences():
     assert_children_match(RandomSource(_sequence=seq).spawn(2), 11, (), 3)
 
 
+@pytest.mark.parametrize(
+    "n", (2.5, True, "1", np.float64(1.0)), ids=("2.5", "True", "str", "float64")
+)
+def test_spawn_rejects_non_integer_counts(n):
+    # checked before the spawn counter moves: the next spawn still starts at child 0
+    root = source(11)
+    with pytest.raises(ValueError, match="sources to spawn"):
+        root.spawn(n)
+    assert_children_match(root.spawn(2), 11, (), 0)
+
+
 def test_grandchildren_and_seed():
     root = RandomSource(2**40 + 9)
     assert root.seed == 2**40 + 9

@@ -184,6 +184,21 @@ def test_decode_sm_examples():
     assert decode_sm(SmStream([1, 0, 1, 0], [1, 1, 0, 0])) == 0.0
 
 
+@pytest.mark.parametrize("encode", (encode_unipolar, encode_bipolar, encode_tlb, encode_sm))
+@pytest.mark.parametrize(
+    "length", (2.5, True, "3", np.float64(2.0)), ids=("2.5", "True", "str", "float64")
+)
+def test_encoders_reject_non_integer_lengths(encode, length):
+    # int() would truncate 2.5 to 2 and read True as 1 and "3" as 3
+    with pytest.raises(ValueError, match="stream length"):
+        encode(0.3, length, RandomSource(0))
+
+
+def test_ternary_values_rejects_single_line_streams():
+    with pytest.raises(TypeError, match="TlbStream and SmStream"):
+        ternary_values(BitStream([0, 1]))
+
+
 def test_ternary_at_examples():
     assert ternary_at(TlbStream([0], [1]), 0) == -1
     assert ternary_at(TlbStream([1], [0]), 0) == 1

@@ -1,13 +1,17 @@
 """The names perfbench/tracer.py wraps, and the arguments its count hooks
-read, must resolve: the suite does not collect perfbench/, so a rename would
-break only the traced benchmark."""
+read, must resolve, and the product encoders must reach the encoder and
+spawn calls it counts the same number of times: the suite does not collect
+perfbench/, so a rename or a rerouted call would break only the traced
+benchmark."""
 
 import importlib.util
 import inspect
 from dataclasses import fields
 from pathlib import Path
 
-from scbit import ExperimentConfig
+import pytest
+
+from scbit import ExperimentConfig, RandomSource, batch
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +54,30 @@ def test_every_hook_argument_resolves():
     assert hooked == set(HOOK_ARGUMENTS)
     # the single-shot hook reads config.stream_len
     assert "stream_len" in {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize(
+    "products,encoder",
+    [(batch.encode_tlb_products, "encode_tlb"), (batch.encode_sm_products, "encode_sm")],
+)
+def test_product_encoders_call_the_traced_names(monkeypatch, products, encoder):
+    # streams.encode_calls counts calls of batch.encode_tlb/encode_sm, looked up
+    # in batch's globals at call time, and rng.sources_made counts what
+    # RandomSource.spawn returns: one encoder call per lane stream, one spawn(2K)
+    calls, spawns = [], []
+    encode, spawn = getattr(batch, encoder), RandomSource.spawn
+
+    def counted_encode(*args):
+        calls.append(args)
+        return encode(*args)
+
+    def counted_spawn(self, n):
+        spawns.append(n)
+        return spawn(self, n)
+
+    monkeypatch.setattr(batch, encoder, counted_encode)
+    monkeypatch.setattr(RandomSource, "spawn", counted_spawn)
+    lanes = 5
+    products([0.5] * lanes, [-0.25] * lanes, 16, RandomSource(0))
+    assert len(calls) == 2 * lanes
+    assert spawns == [2 * lanes]
