@@ -11,9 +11,10 @@ output, keep the remainder in the counter, saturate symmetrically at
 experiment metadata.
 
 The tree is implemented once, in ``batch.tree_batch``;
-``run_tree_inner_product`` runs it on a batch of one trial. The lane
-multiplier's SM product, ``sm_multiply_bit``, lives in ``convert.py`` with
-the format converters and is re-exported here.
+``run_tree_inner_product`` runs it on a batch of one trial at the
+operating point of an ``ExperimentConfig``, as ``run_inner_product`` runs
+the engine. The lane multiplier's SM product, ``sm_multiply_bit``, lives
+in ``convert.py`` with the format converters and is re-exported here.
 """
 
 from dataclasses import dataclass
@@ -42,24 +43,25 @@ class TreeDiagnostics:
         return self.saturation_events
 
 
-def run_tree_inner_product(x, y, counter_width, stream_len, rng, fault_schedule=None):
+def run_tree_inner_product(x, y, config, rng, fault_schedule=None):
     """Run the adder tree end to end; returns (SmStream, TreeDiagnostics).
 
-    Lane values are encoded in the signed-magnitude format using
-    independent child sources of ``rng`` (x lanes first, then y lanes).
-    Lanes are zero-padded to the next power of two, at least 2.
-    ``fault_schedule`` is an optional iterable of (cycle, flat_bit) pairs,
-    flat_bit indexing the level-major node list times the counter width; a
-    flat_bit outside [0, (K-1)·B) is a ValueError.
+    ``config`` is an ``ExperimentConfig``; the tree reads its ``lanes``,
+    ``counter_width`` and ``stream_len``. Lane values are encoded in the
+    signed-magnitude format using independent child sources of ``rng`` (x
+    lanes first, then y lanes). Lanes are zero-padded to the next power of
+    two, at least 2. ``fault_schedule`` is an optional iterable of (cycle,
+    flat_bit) pairs, flat_bit indexing the level-major node list times the
+    counter width; a flat_bit outside [0, (K-1)·B) is a ValueError.
     """
-    k = len(x)
-    if k < 1:
-        raise ValueError("need at least one lane")
+    k = config.lanes
+    if len(x) != k or len(y) != k:
+        raise ValueError(f"x and y must have exactly {k} entries")
     if k < 2 or k & (k - 1):
         zeros = [0.0] * ((1 << max(1, (k - 1).bit_length())) - k)
         x, y = list(x) + zeros, list(y) + zeros
-    products = encode_sm_products(x, y, stream_len, rng)
-    out = tree_batch(products[None], counter_width, _one_trial_faults(fault_schedule))
+    products = encode_sm_products(x, y, config.stream_len, rng)
+    out = tree_batch(products[None], config.counter_width, _one_trial_faults(fault_schedule))
     z = out["emitted"][0]
     diagnostics = TreeDiagnostics(
         saturation_events=int(out["saturation_events"][0]),

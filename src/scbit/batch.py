@@ -155,12 +155,12 @@ def merge_fault_schedules(schedules):
     return trial_ids[order], cycles[order], bits[order]
 
 
-def _flips_by_cycle(fault_schedules, n_cycles, n_cells):
+def _flips_by_cycle(fault_schedules, n_trials, n_cycles, n_cells):
     """Split batch fault arrays by cycle: None or the (trials, cells) toggled.
 
-    Raises ValueError if the three arrays differ in length, a cell lies
-    outside [0, n_cells), a cycle outside [0, n_cycles), or the cycles are
-    not sorted.
+    Raises ValueError if the three arrays differ in length, a trial lies
+    outside [0, n_trials), a cell outside [0, n_cells), a cycle outside
+    [0, n_cycles), or the cycles are not sorted.
     """
     flips = [None] * n_cycles
     if fault_schedules is None:
@@ -168,10 +168,11 @@ def _flips_by_cycle(fault_schedules, n_cycles, n_cells):
     f_trials, f_cycles, f_cells = (np.asarray(a, dtype=np.int64) for a in fault_schedules)
     if not len(f_trials) == len(f_cycles) == len(f_cells):
         raise ValueError("fault trials, cycles and cells must have equal lengths")
-    if len(f_cells) and (f_cells.min() < 0 or f_cells.max() >= n_cells):
-        raise ValueError(f"fault cells must lie in [0, {n_cells})")
-    if len(f_cycles) and (f_cycles.min() < 0 or f_cycles.max() >= n_cycles):
-        raise ValueError(f"fault cycles must lie in [0, {n_cycles})")
+    for name, values, bound in (
+        ("trials", f_trials, n_trials), ("cells", f_cells, n_cells), ("cycles", f_cycles, n_cycles)
+    ):
+        if len(values) and (values.min() < 0 or values.max() >= bound):
+            raise ValueError(f"fault {name} must lie in [0, {bound})")
     if (np.diff(f_cycles) < 0).any():
         raise ValueError("fault cycles must be sorted")
     starts = np.searchsorted(f_cycles, np.arange(n_cycles + 1))
@@ -486,7 +487,7 @@ def engine_batch(
     carry = (_PackedCarry if 2 * m <= _TABLE_MAX_BITS else _WideCarry)(m, n_trials)
     trace = None
     want_counts = check_conservation or trace_path is not None
-    flips = _flips_by_cycle(fault_schedules, n_cycles, 2 * m)
+    flips = _flips_by_cycle(fault_schedules, n_trials, n_cycles, 2 * m)
 
     emitted_p = np.zeros((n_trials, n_cycles), dtype=np.int8)
     emitted_n = np.zeros((n_trials, n_cycles), dtype=np.int8)
@@ -622,7 +623,7 @@ def tree_batch(products, counter_width, fault_schedules=None):
     removed = np.zeros((n_trials, nodes), dtype=np.int64)
     faulted = np.zeros(n_trials, dtype=np.int64)
 
-    flips = _flips_by_cycle(fault_schedules, n_cycles, nodes * width)
+    flips = _flips_by_cycle(fault_schedules, n_trials, n_cycles, nodes * width)
     for cycle in range(n_cycles):
         if flips[cycle] is not None:
             # toggle the raw two's-complement bits, then sign-extend

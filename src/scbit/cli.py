@@ -108,9 +108,7 @@ def _cmd_inner_product(args):
             "residual_neg": diag.residual_neg,
         }
     else:
-        stream, diag = baseline_mod.run_tree_inner_product(
-            x, y, cfg.counter_width, cfg.stream_len, rng
-        )
+        stream, diag = baseline_mod.run_tree_inner_product(x, y, cfg, rng)
         estimate = decode_sm(stream)
         extra = {"residual_sum": diag.residual_sum}
     overflow = diag.overflow_events
@@ -140,12 +138,12 @@ _ALIASES = {"cc": "cc_enabled", "direction": "shift_direction"}
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
 # flag values spelled differently from the ExperimentConfig values they set
 _SPELLINGS = {"on": True, "off": False, "standard": "standard_rmse", "paper": "paper_literal"}
-# list-valued sweep axes per sweep kind, each with the ExperimentConfig field
-# that validates its entries; every other config key must be such a field
+# list-valued sweep axes per sweep kind, whose entries the sweep itself checks;
+# every other config key must be an ExperimentConfig field
 _AXES = {
-    "accuracy": {"designs": "design", "lanes": "lanes", "capacities": "carry_len"},
-    "fault": {"p_flips": "p_flip"},
-    "canceler": {"lanes": "lanes"},
+    "accuracy": ("designs", "lanes", "capacities"),
+    "fault": ("p_flips",),
+    "canceler": ("lanes",),
 }
 _CANCELER_FIELDS = {"trials", "seed", "cc_enabled"}
 _CANCELER_LANES = [1, 2, 4, 8, 16, 32, 64]
@@ -179,20 +177,18 @@ def _flag_fields(args):
 
 
 def _pop_axes(data, kind):
-    """Remove and type-check the list-valued sweep axes of ``data``.
+    """Remove the list-valued sweep axes of ``data``; each must be a list.
 
     An accuracy sweep's ``lanes`` is an axis when it is a list and the
     config field otherwise.
     """
     axes = {}
-    for key, field in _AXES[kind].items():
+    for key in _AXES[kind]:
         if key not in data or (kind == "accuracy" and not isinstance(data[key], list)):
             continue
         values = data.pop(key)
         if not isinstance(values, list):
             raise UsageError(f"{key} must be a list")
-        for value in values:
-            ExperimentConfig.from_dict({field: value})
         axes[key] = values
     return axes
 
@@ -213,12 +209,7 @@ def _cmd_sweep(args):
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         cfg = ExperimentConfig.from_dict({"trials": 20000, **data})
-        result = run_canceler_experiment(
-            axes.get("lanes", _CANCELER_LANES),
-            cfg.trials,
-            cfg.seed,
-            cc_enabled=cfg.cc_enabled,
-        )
+        result = run_canceler_experiment(axes.get("lanes", _CANCELER_LANES), cfg)
     else:
         cfg = ExperimentConfig.from_dict(data)
         if args.kind == "accuracy":

@@ -12,6 +12,9 @@ The shift-direction experiment emits its own schema::
 Every sweep also writes a ``meta.json`` companion capturing the effective
 configuration and the modeling choices a reader needs to interpret the
 numbers (reconstructed baseline, per-bit fault model, input distribution).
+Each sweep reads its operating point from one ``ExperimentConfig``, the
+one place it is checked, and builds every grid point's config before the
+first point runs.
 
 Reproducibility contract: identical configuration and seed produce
 byte-identical CSV output. Trials derive per-trial seed material from
@@ -40,7 +43,7 @@ from .batch import (
     tree_batch,
 )
 from .rng import RandomSource
-from .streams import _integer
+from .streams import _is_integer
 
 __all__ = [
     "ExperimentConfig",
@@ -113,7 +116,7 @@ def _has_type(value, kind):
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
     if kind is int:
-        return isinstance(value, numbers.Integral)
+        return _is_integer(value)
     if kind is float:
         return isinstance(value, numbers.Real)
     return isinstance(value, kind)
@@ -303,6 +306,14 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _runnable(cfg):
+    """``cfg``, or ValueError if ``run_point`` cannot run it: the baseline
+    tree needs a power-of-two lane count >= 2."""
+    if cfg.design == "baseline" and (cfg.lanes < 2 or cfg.lanes & (cfg.lanes - 1)):
+        raise ValueError("baseline sweeps need a power-of-two lane count >= 2")
+    return cfg
+
+
 def run_point(cfg):
     """Run all trials of one operating point.
 
@@ -310,8 +321,7 @@ def run_point(cfg):
     per-trial array ordered by trial index regardless of ``jobs``. Trials
     run in at most min(jobs, trials, usable CPUs) processes.
     """
-    if cfg.design == "baseline" and (cfg.lanes < 2 or cfg.lanes & (cfg.lanes - 1)):
-        raise ValueError("baseline sweeps need a power-of-two lane count >= 2")
+    _runnable(cfg)
     point = _point_sequence(cfg.seed, cfg.design, cfg.lanes, cfg.capacity, cfg.stream_len)
     trial_sequences = point.spawn(cfg.trials)
     chunks = max(1, min(cfg.jobs, cfg.trials, _usable_cpus()))
@@ -339,7 +349,7 @@ def _point_row(cfg, estimates, truths, overflow, cc):
         "K": cfg.lanes,
         "M_or_B": cfg.capacity,
         "L": cfg.stream_len,
-        "p_flip": cfg.p_flip,
+        "p_flip": float(cfg.p_flip),
         "trials": cfg.trials,
         "metric": cfg.metric,
         "rmse": rmse(estimates, truths, cfg.metric),
@@ -385,21 +395,20 @@ def run_accuracy_sweep(designs, lanes_values, capacities, cfg):
     """Grid sweep over design x lanes x storage capacity.
 
     ``capacities`` is interpreted as carry register length for the novel
-    design and counter width for the baseline. The metadata reports, per
-    (design, lanes), the minimal capacity reaching each RMSE threshold.
+    design and counter width for the baseline. Every grid point is checked
+    before the first one runs. The metadata reports, per (design, lanes),
+    the minimal capacity reaching each RMSE threshold.
     """
     base = cfg.replace(p_flip=0.0)
-    rows = []
+    points = []
     for design in designs:
-        for lanes in lanes_values:
-            for capacity in capacities:
-                if design == "novel":
-                    point = base.replace(design=design, lanes=lanes, carry_len=capacity)
-                else:
-                    point = base.replace(
-                        design=design, lanes=lanes, counter_width=capacity
-                    )
-                rows.append(_point_row(point, *run_point(point)))
+        size = "carry_len" if design == "novel" else "counter_width"
+        points += [
+            _runnable(base.replace(design=design, lanes=lanes, **{size: capacity}))
+            for lanes in lanes_values
+            for capacity in capacities
+        ]
+    rows = [_point_row(point, *run_point(point)) for point in points]
 
     minimal = {}
     for design in designs:
@@ -435,11 +444,9 @@ def run_accuracy_sweep(designs, lanes_values, capacities, cfg):
 
 
 def run_fault_sweep(p_flips, cfg):
-    """Sweep the bit-flip probability at a fixed operating point."""
-    rows = []
-    for p in p_flips:
-        point = cfg.replace(p_flip=float(p))
-        rows.append(_point_row(point, *run_point(point)))
+    """Sweep the bit-flip probability at a fixed operating point, every p checked first."""
+    points = [_runnable(cfg.replace(p_flip=p)) for p in p_flips]
+    rows = [_point_row(point, *run_point(point)) for point in points]
     meta = {
         "sweep": "fault",
         "config": cfg.to_dict(),
@@ -449,18 +456,19 @@ def run_fault_sweep(p_flips, cfg):
     return SweepResult(ACCURACY_COLUMNS, rows, meta)
 
 
-def run_canceler_experiment(lanes_values, trials, seed, cc_enabled=True):
+def run_canceler_experiment(lanes_values, config):
     """Estimate the mean probability that ones reach the accumulation stage.
 
     Per lane count K, the input shift registers are loaded from
     Bernoulli(0.5) hold bits and drained in both shift-direction modes
     (paired loads), recording the front pair delivered at each of the K
     steps. Rows report the per-direction estimates with their Monte Carlo
-    standard errors.
+    standard errors. ``config`` is an ``ExperimentConfig`` that supplies
+    ``trials``, ``seed`` and ``cc_enabled``; every lane count is checked as
+    its ``lanes`` before the first one runs.
     """
-    trials = _integer(trials, "trials")
-    seed = _integer(seed, "seed", low=0)
-    lanes_values = [_integer(lanes, "lane counts") for lanes in lanes_values]
+    trials, seed, cc_enabled = config.trials, config.seed, config.cc_enabled
+    lanes_values = [int(config.replace(lanes=lanes).lanes) for lanes in lanes_values]
     rows = []
     for lanes in lanes_values:
         point = np.random.SeedSequence((seed, 2, lanes, trials))
@@ -495,7 +503,7 @@ def run_canceler_experiment(lanes_values, trials, seed, cc_enabled=True):
         "grid": {"lanes": lanes_values},
         "trials": trials,
         "seed": seed,
-        "cc_enabled": bool(cc_enabled),
+        "cc_enabled": cc_enabled,
         "notes": {
             "protocol": (
                 "hold bits Bernoulli(0.5); lane-wise carry canceling on the "

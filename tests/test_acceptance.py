@@ -162,7 +162,7 @@ def test_criterion_5_baseline_operating_point():
 def test_criterion_6_canceler_direction_gap():
     """Opposite-direction shifting beats same-direction at every K >= 2."""
     lanes = (2, 4, 8, 16, 32, 64)
-    sweep = run_canceler_experiment(lanes, trials=100_000, seed=SEED)
+    sweep = run_canceler_experiment(lanes, ExperimentConfig(trials=100_000, seed=SEED))
     rows = {(r["direction"], r["K"]): r for r in sweep.rows}
     ok = True
     details = []
@@ -212,7 +212,7 @@ def test_criterion_8_reproducibility(tmp_path):
     for tag in ("first", "second"):
         acc = run_accuracy_sweep(["novel", "baseline"], [4], [3, 4], cfg)
         fault = run_fault_sweep([0.0, 0.03], cfg)
-        canceler = run_canceler_experiment([2, 8], trials=4000, seed=SEED)
+        canceler = run_canceler_experiment([2, 8], ExperimentConfig(trials=4000, seed=SEED))
         blob = b""
         for i, sweep in enumerate((acc, fault, canceler)):
             csv_path = tmp_path / f"{tag}{i}.csv"

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import AdderTree, CarryShiftRegister, CounterAdderNode
 from scbit import (
+    ExperimentConfig,
     RandomSource,
     decode_sm,
     run_tree_inner_product,
@@ -134,9 +135,13 @@ def test_tree_conservation():
     assert tree.saturation_events() == 0
 
 
+def tree_config(lanes, counter_width, stream_len):
+    return ExperimentConfig(lanes=lanes, counter_width=counter_width, stream_len=stream_len)
+
+
 def test_run_tree_zero_inputs():
     stream, diag = run_tree_inner_product(
-        [0, 0, 0, 0], [0, 0, 0, 0], 4, 128, RandomSource(1)
+        [0, 0, 0, 0], [0, 0, 0, 0], tree_config(4, 4, 128), RandomSource(1)
     )
     assert decode_sm(stream) == 0.0
     assert diag.saturation_events == 0
@@ -144,16 +149,19 @@ def test_run_tree_zero_inputs():
 
 
 def test_run_tree_padding():
-    stream, _ = run_tree_inner_product([0.5, 0.2, -0.1], [0.4, 0.1, 0.3], 4, 500, RandomSource(2))
+    stream, _ = run_tree_inner_product(
+        [0.5, 0.2, -0.1], [0.4, 0.1, 0.3], tree_config(3, 4, 500), RandomSource(2)
+    )
     assert stream.length == 500
-    assert run_tree_inner_product([0.5], [0.5], 4, 9, RandomSource(2))[0].length == 9
+    stream, _ = run_tree_inner_product([0.5], [0.5], tree_config(1, 4, 9), RandomSource(2))
+    assert stream.length == 9
 
 
 def test_run_tree_domain_errors():
     with pytest.raises(ValueError):
-        run_tree_inner_product([1.5, 0], [0, 0], 4, 16, RandomSource(1))
+        run_tree_inner_product([1.5, 0], [0, 0], tree_config(2, 4, 16), RandomSource(1))
     with pytest.raises(ValueError):
-        run_tree_inner_product([0.5], [0.5, 0.1], 4, 16, RandomSource(1))
+        run_tree_inner_product([0.5], [0.5, 0.1], tree_config(1, 4, 16), RandomSource(1))
 
 
 def test_run_tree_estimates_inner_product():
@@ -162,14 +170,15 @@ def test_run_tree_estimates_inner_product():
     truth = float(np.dot(x, y))
     root = RandomSource(44)
     estimates = [
-        decode_sm(run_tree_inner_product(x, y, 4, 4000, src)[0]) for src in root.spawn(30)
+        decode_sm(run_tree_inner_product(x, y, tree_config(4, 4, 4000), src)[0])
+        for src in root.spawn(30)
     ]
     assert abs(np.mean(estimates) - truth) < 0.02
 
 
 def test_run_tree_output_canonical():
     stream, _ = run_tree_inner_product(
-        [0.9, -0.9], [0.5, 0.5], 4, 300, RandomSource(3)
+        [0.9, -0.9], [0.5, 0.5], tree_config(2, 4, 300), RandomSource(3)
     )
     tern = ternary_values(stream)
     # zero symbols carry a zero sign bit, magnitude matches |ternary|
@@ -179,9 +188,9 @@ def test_run_tree_output_canonical():
 
 def test_run_tree_fault_schedule():
     # a sign-bit flip on the root counter drags the estimate down
-    clean, _ = run_tree_inner_product([0, 0], [0, 0], 4, 64, RandomSource(4))
+    clean, _ = run_tree_inner_product([0, 0], [0, 0], tree_config(2, 4, 64), RandomSource(4))
     hit, _ = run_tree_inner_product(
-        [0, 0], [0, 0], 4, 64, RandomSource(4), fault_schedule=[(0, 3)]
+        [0, 0], [0, 0], tree_config(2, 4, 64), RandomSource(4), fault_schedule=[(0, 3)]
     )
     assert decode_sm(clean) == 0.0
     assert decode_sm(hit) < 0.0
@@ -189,15 +198,17 @@ def test_run_tree_fault_schedule():
     for cell in (-1, 4):
         with pytest.raises(ValueError, match="fault cells"):
             run_tree_inner_product(
-                [0, 0], [0, 0], 4, 8, RandomSource(4), fault_schedule=[(0, cell)]
+                [0, 0], [0, 0], tree_config(2, 4, 8), RandomSource(4), fault_schedule=[(0, cell)]
             )
     # a flat list is not read as one pair, a float cycle truncated, nor a huge
     # cell left to overflow the int64 cast
     for schedule in ([3, 0], [(1.7, 2)], [(True, 0)], [(0, 1, 2)], [(0, 2**70)]):
         with pytest.raises(ValueError, match="pairs of integers"):
             run_tree_inner_product(
-                [0, 0], [0, 0], 4, 8, RandomSource(4), fault_schedule=schedule
+                [0, 0], [0, 0], tree_config(2, 4, 8), RandomSource(4), fault_schedule=schedule
             )
     # an empty schedule is a clean run
-    empty = run_tree_inner_product([0, 0], [0, 0], 4, 64, RandomSource(4), fault_schedule=[])
-    assert empty == run_tree_inner_product([0, 0], [0, 0], 4, 64, RandomSource(4))
+    empty = run_tree_inner_product(
+        [0, 0], [0, 0], tree_config(2, 4, 64), RandomSource(4), fault_schedule=[]
+    )
+    assert empty == run_tree_inner_product([0, 0], [0, 0], tree_config(2, 4, 64), RandomSource(4))

@@ -376,6 +376,11 @@ def test_engine_batch_rejects_bad_fault_cells():
     faults = (np.zeros(3, np.int64), np.array([6, 2, 3]), np.array([3, 0, 1]))
     with pytest.raises(ValueError, match="sorted"):
         engine_batch(np.ones((1, 3, 8), np.int8), 2, fault_schedules=faults)
+    # trial -1 would flip the last trial, and trial == trials raise IndexError
+    for trial in (-1, 2):
+        faults = (np.array([trial]), np.array([0]), np.array([0]))
+        with pytest.raises(ValueError, match="fault trials"):
+            engine_batch(np.ones((2, 2, 5), np.int8), 2, fault_schedules=faults)
 
 
 def test_engine_batch_rejects_bad_shift_direction():
@@ -462,6 +467,10 @@ def test_tree_batch_rejects_bad_fault_cells():
     faults = (np.zeros(3, np.int64), np.array([2, 0, 1]), np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="sorted"):
         tree_batch(products, 4, fault_schedules=faults)
+    for trial in (-1, 2):
+        faults = (np.array([trial]), np.array([0]), np.array([0]))
+        with pytest.raises(ValueError, match="fault trials"):
+            tree_batch(products, 4, fault_schedules=faults)
 
 
 def clamp_unreported(pending, c_max, out):

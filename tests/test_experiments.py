@@ -1,11 +1,16 @@
+import inspect
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scbit.experiments as experiments
+from scbit.baseline import run_tree_inner_product
+from scbit.engine import run_inner_product
 from scbit.experiments import (
     ACCURACY_COLUMNS,
     CANCELER_COLUMNS,
@@ -70,7 +75,9 @@ def test_config_validation():
         ExperimentConfig(carry_len=0)  # zero-length carry storage disallowed
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"design": "novel", "bogus": 1})
-    for wrong_type in ({"lanes": "16"}, {"trials": 2.0}, {"cc_enabled": 1}, {"p_flip": True}):
+    for wrong_type in (
+        {"lanes": "16"}, {"trials": 2.0}, {"cc_enabled": 1}, {"cc_enabled": "no"}, {"p_flip": True},
+    ):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(wrong_type)
 
@@ -148,6 +155,48 @@ def test_run_point_workers_capped_by_usable_cpus(monkeypatch):
 def test_run_point_baseline_lane_check():
     with pytest.raises(ValueError):
         run_point(ExperimentConfig(design="baseline", lanes=3))
+
+
+@pytest.mark.parametrize(
+    "sweep, args",
+    [
+        # a point the baseline tree cannot run, after one the engine can
+        (run_accuracy_sweep, (["novel", "baseline"], [3], [2])),
+        (run_accuracy_sweep, (["novel"], [16], [2, "4"])),
+        (run_fault_sweep, ([0.0, 0.01, 1.5],)),
+        (run_fault_sweep, (["0.0"],)),
+        (run_fault_sweep, ([True],)),  # not run as p = 1.0
+    ],
+)
+def test_sweeps_check_the_whole_grid_before_running(monkeypatch, sweep, args):
+    calls = []
+    simulate = experiments._simulate_trials
+
+    def counted(payload):
+        calls.append(payload)
+        return simulate(payload)
+
+    monkeypatch.setattr(experiments, "_simulate_trials", counted)
+    with pytest.raises(ValueError):
+        sweep(*args, ExperimentConfig(stream_len=8, trials=2))
+    assert calls == []
+
+
+def test_fault_sweep_writes_integer_p_as_float():
+    sweep = run_fault_sweep([0], ExperimentConfig(**SMALL))
+    assert sweep.rows[0]["p_flip"] == 0.0 and isinstance(sweep.rows[0]["p_flip"], float)
+
+
+def test_entry_points_take_operating_points_from_config():
+    # an operating point reaches every runner and sweep through one
+    # ExperimentConfig, which checks it; no loose copy of a field
+    config_fields = {f.name for f in fields(ExperimentConfig)}
+    for entry in (
+        run_inner_product, run_tree_inner_product, run_point,
+        run_accuracy_sweep, run_fault_sweep, run_canceler_experiment,
+    ):
+        shared = config_fields & set(inspect.signature(entry).parameters)
+        assert not shared, f"{entry.__name__} takes {sorted(shared)} outside its config"
 
 
 def test_fault_zero_matches_accuracy_run():
@@ -242,7 +291,7 @@ def test_sweep_csv_byte_identical(tmp_path):
 
 
 def test_canceler_rows_and_columns():
-    sweep = run_canceler_experiment([1, 2, 4], trials=2000, seed=3)
+    sweep = run_canceler_experiment([1, 2, 4], ExperimentConfig(trials=2000, seed=3))
     assert sweep.columns == CANCELER_COLUMNS
     assert len(sweep.rows) == 6  # two directions per lane count
     directions = {r["direction"] for r in sweep.rows}
@@ -252,8 +301,8 @@ def test_canceler_rows_and_columns():
 @pytest.mark.parametrize("lanes", (2.5, True))
 def test_canceler_rejects_non_integer_lane_counts(lanes):
     # int() would run K = 2.5 as K = 2, and True as K = 1
-    with pytest.raises(ValueError, match="lane counts"):
-        run_canceler_experiment([lanes], 10, 1)
+    with pytest.raises(ValueError, match="lanes"):
+        run_canceler_experiment([lanes], ExperimentConfig(trials=10, seed=1))
 
 
 @pytest.mark.parametrize(
@@ -269,11 +318,11 @@ def test_canceler_rejects_non_integer_lane_counts(lanes):
 def test_canceler_rejects_bad_trials_and_seed(trials, seed, what):
     # int() would run seed 1.5 as seed 1; numpy would fail later, or not at all
     with pytest.raises(ValueError, match=what):
-        run_canceler_experiment([2], trials, seed)
+        run_canceler_experiment([2], ExperimentConfig(trials=trials, seed=seed))
 
 
 def test_canceler_k1_modes_agree():
-    sweep = run_canceler_experiment([1], trials=5000, seed=5)
+    sweep = run_canceler_experiment([1], ExperimentConfig(trials=5000, seed=5))
     by_dir = {r["direction"]: r for r in sweep.rows}
     # paired loads make the two modes literally identical at K=1
     assert by_dir["opposite"]["p_p"] == by_dir["same"]["p_p"]
@@ -281,13 +330,13 @@ def test_canceler_k1_modes_agree():
 
 
 def test_canceler_k1_without_cc():
-    sweep = run_canceler_experiment([1], trials=5000, seed=6, cc_enabled=False)
+    sweep = run_canceler_experiment([1], ExperimentConfig(trials=5000, seed=6, cc_enabled=False))
     for row in sweep.rows:
         assert abs(row["p_p"] - 0.5) < 3 * row["se_p"] + 0.01
 
 
 def test_canceler_gap_at_k2():
-    sweep = run_canceler_experiment([2], trials=40_000, seed=7)
+    sweep = run_canceler_experiment([2], ExperimentConfig(trials=40_000, seed=7))
     by_dir = {r["direction"]: r for r in sweep.rows}
     opp, same = by_dir["opposite"], by_dir["same"]
     margin = 3 * math.hypot(opp["se_p"], same["se_p"])
