@@ -14,12 +14,14 @@ The tree is implemented once, in ``batch.tree_batch``;
 ``run_tree_inner_product`` runs it on a batch of one trial at the
 operating point of an ``ExperimentConfig``, as ``run_inner_product`` runs
 the engine. The lane multiplier's SM product, ``sm_multiply_bit``, lives
-in ``convert.py`` with the format converters and is re-exported here.
+in ``convert.py`` with the format converters and is re-exported here. The
+lane products come from ``batch.encode_tlb_products``, the one lane-product
+stage of both designs, which gives the SM multipliers' outputs bit for bit.
 """
 
 from dataclasses import dataclass
 
-from .batch import _one_trial_faults, encode_sm_products, tree_batch
+from .batch import _one_trial_faults, encode_tlb_products, tree_batch
 from .convert import sm_multiply_bit
 
 # encode_sm is unused here, but perfbench/tracer.py wraps it by this name
@@ -47,12 +49,12 @@ def run_tree_inner_product(x, y, config, rng, fault_schedule=None):
     """Run the adder tree end to end; returns (SmStream, TreeDiagnostics).
 
     ``config`` is an ``ExperimentConfig``; the tree reads its ``lanes``,
-    ``counter_width`` and ``stream_len``. Lane values are encoded in the
-    signed-magnitude format using independent child sources of ``rng`` (x
-    lanes first, then y lanes). Lanes are zero-padded to the next power of
-    two, at least 2. ``fault_schedule`` is an optional iterable of (cycle,
-    flat_bit) pairs, flat_bit indexing the level-major node list times the
-    counter width; a flat_bit outside [0, (K-1)·B) is a ValueError.
+    ``counter_width`` and ``stream_len``. Lane products are encoded from
+    independent child sources of ``rng`` (x lanes first, then y lanes).
+    Lanes are zero-padded to K', the next power of two, at least 2.
+    ``fault_schedule`` is an optional iterable of (cycle, flat_bit) pairs,
+    flat_bit indexing the level-major node list times the counter width; a
+    flat_bit outside [0, (K'-1)·B) is a ValueError.
     """
     k = config.lanes
     if len(x) != k or len(y) != k:
@@ -60,7 +62,7 @@ def run_tree_inner_product(x, y, config, rng, fault_schedule=None):
     if k < 2 or k & (k - 1):
         zeros = [0.0] * ((1 << max(1, (k - 1).bit_length())) - k)
         x, y = list(x) + zeros, list(y) + zeros
-    products = encode_sm_products(x, y, config.stream_len, rng)
+    products = encode_tlb_products(x, y, config.stream_len, rng)
     out = tree_batch(products[None], config.counter_width, _one_trial_faults(fault_schedule))
     z = out["emitted"][0]
     diagnostics = TreeDiagnostics(

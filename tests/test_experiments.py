@@ -82,6 +82,22 @@ def test_config_validation():
             ExperimentConfig.from_dict(wrong_type)
 
 
+def test_config_numpy_scalars_write_the_same_bytes(tmp_path):
+    # a numpy scalar is stored as the Python value, so the meta file holds it
+    def written(name, **updates):
+        sweep = run_fault_sweep([0.0], ExperimentConfig(stream_len=8, trials=2, **updates))
+        sweep.write_csv(tmp_path / f"{name}.csv")
+        sweep.write_meta(tmp_path / f"{name}.json")
+        return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+
+    assert written("np_lanes", lanes=np.int64(4)) == written("lanes", lanes=4)
+    assert written("np_scale", lanes=4, input_scale=np.float32(0.5)) == written(
+        "scale", lanes=4, input_scale=0.5
+    )
+    # a plain int in a float field stays an int, as the existing meta bytes have it
+    assert type(ExperimentConfig(input_scale=1).input_scale) is int
+
+
 def test_config_json_round_trip():
     cfg = ExperimentConfig(**SMALL)
     again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -150,6 +166,23 @@ def test_run_point_workers_capped_by_usable_cpus(monkeypatch):
     assert sizes == [2]  # one job runs in this process
     for x, y in zip(serial, capped):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("design", ["novel", "baseline"])
+def test_both_designs_encode_through_one_encoder(monkeypatch, design):
+    # the sweep worker encodes every trial's lane products with the one
+    # encoder, whichever design it runs
+    calls = {"encode_tlb_products": 0, "encode_sm_products": 0}
+    for name in calls:
+
+        def counted(*args, name=name, encode=getattr(experiments, name)):
+            calls[name] += 1
+            return encode(*args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    cfg = ExperimentConfig(design=design, lanes=4, stream_len=16, trials=3, p_flip=0.1)
+    experiments._simulate_trials((cfg, np.random.SeedSequence(0).spawn(cfg.trials)))
+    assert calls == {"encode_tlb_products": cfg.trials, "encode_sm_products": 0}
 
 
 def test_run_point_baseline_lane_check():

@@ -58,12 +58,14 @@ def test_every_hook_argument_resolves():
 
 @pytest.mark.parametrize(
     "products,encoder",
-    [(batch.encode_tlb_products, "encode_tlb"), (batch.encode_sm_products, "encode_sm")],
+    [(batch.encode_tlb_products, "encode_tlb"), (batch.encode_sm_products, "encode_tlb")],
+    ids=["encode_tlb_products-encode_tlb", "encode_sm_products-encode_tlb"],
 )
 def test_product_encoders_call_the_traced_names(monkeypatch, products, encoder):
-    # streams.encode_calls counts calls of batch.encode_tlb/encode_sm, looked up
-    # in batch's globals at call time, and rng.sources_made counts what
-    # RandomSource.spawn returns: one encoder call per lane stream, one spawn(2K)
+    # streams.encode_calls counts calls of batch.encode_tlb, looked up in
+    # batch's globals at call time, and rng.sources_made counts what
+    # RandomSource.spawn returns: one encoder call per lane stream, one spawn(2K),
+    # for the SM lane products of the adder tree too
     calls, spawns = [], []
     encode, spawn = getattr(batch, encoder), RandomSource.spawn
 
