@@ -59,6 +59,14 @@ def _integer_array(values, what, kinds="iu"):
     return values
 
 
+def _fault_array(values, what):
+    """A fault array as int64, after checking that it is 1-D of integers."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"{what} must be 1-D arrays, got {values.ndim} dimensions")
+    return _integer_array(values, what).astype(np.int64, copy=False)
+
+
 def _int8_in(values, low, what):
     """``values`` as an int8 array, after checking every entry is an integer
     or a bool from ``low`` to 1: -1 for ternary symbols, 0 for hold bits.
@@ -136,8 +144,8 @@ def merge_fault_schedules(schedules):
 
     Returns (trials, cycles, bits) sorted by cycle; ``schedules`` may
     contain None entries for fault-free trials. A trial whose cycle and bit
-    arrays differ in length, or hold entries of a dtype other than an
-    integer one (bools and floats included), is a ValueError.
+    arrays are not 1-D, differ in length, or hold entries of a dtype other
+    than an integer one (bools and floats included), is a ValueError.
     """
     trial_ids = []
     cycles = []
@@ -146,6 +154,8 @@ def merge_fault_schedules(schedules):
         if schedule is None:
             continue
         cyc, bit = schedule
+        cyc = _fault_array(cyc, f"trial {trial}: fault cycles")
+        bit = _fault_array(bit, f"trial {trial}: fault bits")
         if len(cyc) != len(bit):
             raise ValueError(
                 f"trial {trial}: {len(cyc)} fault cycles but {len(bit)} fault bits"
@@ -153,8 +163,8 @@ def merge_fault_schedules(schedules):
         if len(cyc) == 0:
             continue
         trial_ids.append(np.full(len(cyc), trial, dtype=np.int64))
-        cycles.append(_integer_array(cyc, f"trial {trial}: fault cycles").astype(np.int64))
-        bits.append(_integer_array(bit, f"trial {trial}: fault bits").astype(np.int64))
+        cycles.append(cyc)
+        bits.append(bit)
     if not trial_ids:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
@@ -168,8 +178,8 @@ def merge_fault_schedules(schedules):
 def _flips_by_cycle(fault_schedules, n_trials, n_cycles, n_cells):
     """Split batch fault arrays by cycle: None or the (trials, cells) toggled.
 
-    Raises ValueError if an array holds entries of a dtype other than an
-    integer one (bools and floats included), the three arrays differ in
+    Raises ValueError if an array is not 1-D or holds entries of a dtype
+    other than an integer one (bools and floats included), the three differ in
     length, a trial lies outside [0, n_trials), a cell outside [0, n_cells),
     a cycle outside [0, n_cycles), or the cycles are not sorted.
     """
@@ -177,8 +187,7 @@ def _flips_by_cycle(fault_schedules, n_trials, n_cycles, n_cells):
     if fault_schedules is None:
         return flips
     f_trials, f_cycles, f_cells = (
-        _integer_array(a, "fault trials, cycles and cells").astype(np.int64, copy=False)
-        for a in fault_schedules
+        _fault_array(a, "fault trials, cycles and cells") for a in fault_schedules
     )
     if not len(f_trials) == len(f_cycles) == len(f_cells):
         raise ValueError("fault trials, cycles and cells must have equal lengths")
@@ -378,33 +387,26 @@ def _check_ledger(loaded, ledger):
         raise _unbalanced("end of run", bad, loaded[bad], ledger[bad])
 
 
-def _check_steps(deliveries, loaded, flags, stored, faulted, totals, first_cycle):
-    """Conservation of signed units after every step and emission of a chunk.
+def _check_steps(deliveries, loaded, flags, stored, faulted, stored_before, first_cycle):
+    """Conservation of signed units after every step and emission of a chunk,
+    counted from ``stored_before``, the signed carry count at its start.
 
-    ``totals`` are the running (loaded, emitted, dropped_pos - dropped_neg,
-    faulted) sums of the earlier cycles. The cancelers remove only (+1, -1)
-    pairs, so the units in flight are those loaded this cycle minus those
-    delivered so far; after the K-th step the input registers are empty.
+    Chunk 0 starts from empty registers, so checking each chunk from its
+    start checks the law of the whole run. The signed flags are the carries
+    dropped at steps 0..K-1 and the pair emitted at step K, so one
+    cumulative sum counts both. The cancelers remove only (+1, -1) pairs, so
+    the units in flight are those loaded this cycle minus those delivered so
+    far; after the K-th step the input registers are empty.
     """
     lanes, n_cycles, n_trials = deliveries.shape
     signed = (flags & 1).astype(np.int64) - (flags >> 1)
-    emitted = np.zeros_like(signed)
-    emitted[:, lanes] = signed[:, lanes]
-    signed[:, lanes] = 0  # the rest are dropped carries
     inflight = np.zeros_like(signed)
     inflight[:, :lanes] = loaded[:, None] - np.cumsum(
         deliveries.transpose(1, 0, 2), axis=1, dtype=np.int64
     )
-    loaded_before, emitted_before, dropped_before, faulted_before = totals
-    shape = (-1, n_trials)
-    lhs = (
-        emitted_before + np.cumsum(emitted.reshape(shape), axis=0).reshape(emitted.shape)
-        + stored + inflight
-    )
-    rhs = (
-        (loaded_before + np.cumsum(loaded, axis=0))[:, None]
-        - (dropped_before + np.cumsum(signed.reshape(shape), axis=0).reshape(signed.shape))
-        + (faulted_before + np.cumsum(faulted, axis=0))[:, None]
+    lhs = np.cumsum(signed.reshape(-1, n_trials), axis=0).reshape(signed.shape) + stored + inflight
+    rhs = np.broadcast_to(
+        (stored_before + np.cumsum(loaded + faulted, axis=0))[:, None], lhs.shape
     )
     bad = lhs != rhs
     if bad.any():
@@ -486,18 +488,21 @@ def engine_batch(
     (uint64 up to M = 64, Python ints above). A fault XORs its cell at the
     start of its cycle.
 
-    Every run ends with a per-trial ledger of signed units, loaded =
-    emitted + stored + dropped_pos - dropped_neg - (stored change caused
-    by faults), and raises RuntimeError on a mismatch.
-    ``check_conservation`` checks the same law after every high-clock step
-    and every emission. ``trace_path`` writes the per-cycle trace CSV
-    (columns ``TRACE_COLUMNS``) of a batch of one trial.
+    Every run ends with a per-trial ledger of signed units, read from
+    ``products`` and the emitted planes: loaded = emitted + stored +
+    dropped_pos - dropped_neg - (stored change caused by faults); a mismatch
+    raises RuntimeError. ``check_conservation`` checks the same law after
+    every high-clock step and every emission, starting each chunk from the
+    carry registers. ``trace_path`` writes the per-cycle trace CSV (columns
+    ``TRACE_COLUMNS``) of a batch of one trial; every input is checked
+    before it opens.
     """
     products = _int8_in(products, -1, "ternary symbols")
     n_trials, lanes, n_cycles = products.shape
     m = _integer(carry_len, "carry_len")
     if trace_path is not None and n_trials != 1:
         raise ValueError("a trace covers a batch of exactly one trial")
+    _is_opposite(shift_direction)  # raises before the trace file opens
     carry = (_PackedCarry if 2 * m <= _TABLE_MAX_BITS else _WideCarry)(m, n_trials)
     trace = None
     want_counts = check_conservation or trace_path is not None
@@ -508,8 +513,6 @@ def engine_batch(
     dropped_pos = np.zeros(n_trials, dtype=np.int64)
     dropped_neg = np.zeros(n_trials, dtype=np.int64)
     cc_counts = np.zeros(n_trials, dtype=np.int64)
-    loaded = np.zeros(n_trials, dtype=np.int64)
-    emitted = np.zeros(n_trials, dtype=np.int64)
     faulted = np.zeros(n_trials, dtype=np.int64)
 
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n_trials * lanes))
@@ -534,15 +537,15 @@ def engine_batch(
             deliveries = (dp.T - dn.T).reshape(lanes, n_c, n_trials)
 
             # stage 2: the carry registers, in step order
+            if check_conservation:
+                stored_before = np.subtract(*carry.residuals())
             faulted_c = np.zeros((2, n_c, n_trials), dtype=np.int64)
             flags, counts = carry.run(deliveries, flips[c0:c1], faulted_c, want_counts)
 
-            loaded_c = block.sum(axis=1, dtype=np.int64).T
             if check_conservation:
-                totals = (loaded, emitted, dropped_pos - dropped_neg, faulted)
                 _check_steps(
-                    deliveries, loaded_c, flags, counts[0] - counts[1],
-                    faulted_c[0] - faulted_c[1], totals, c0,
+                    deliveries, block.sum(axis=1, dtype=np.int64).T, flags,
+                    counts[0] - counts[1], faulted_c[0] - faulted_c[1], stored_before, c0,
                 )
             if trace is not None:
                 fronts = np.stack([dp, dn])
@@ -551,14 +554,13 @@ def engine_batch(
             emitted_n[:, c0:c1] = (flags[:, lanes] >> 1).T
             dropped_pos += (flags[:, :lanes] & 1).sum(axis=(0, 1), dtype=np.int64)
             dropped_neg += (flags[:, :lanes] >> 1).sum(axis=(0, 1), dtype=np.int64)
-            emitted += emitted_p[:, c0:c1].sum(axis=1, dtype=np.int64)
-            emitted -= emitted_n[:, c0:c1].sum(axis=1, dtype=np.int64)
-            loaded += loaded_c.sum(axis=0)
             faulted += (faulted_c[0] - faulted_c[1]).sum(axis=0)
 
     residual_pos, residual_neg = carry.residuals()
+    emitted = emitted_p.sum(axis=1, dtype=np.int64) - emitted_n.sum(axis=1, dtype=np.int64)
     _check_ledger(
-        loaded, emitted + residual_pos - residual_neg + dropped_pos - dropped_neg - faulted
+        products.sum(axis=(1, 2), dtype=np.int64),
+        emitted + residual_pos - residual_neg + dropped_pos - dropped_neg - faulted,
     )
 
     return {
@@ -711,6 +713,13 @@ def adder_batch(x, y, capacity):
     return emitted.T.astype(np.int8), stored.T, np.count_nonzero(removed, axis=0)
 
 
+def _is_opposite(shift_direction):
+    """True for the opposite wiring and False for the same; else ValueError."""
+    if shift_direction not in ("opposite", "same"):
+        raise ValueError("shift_direction must be 'opposite' or 'same'")
+    return shift_direction == "opposite"
+
+
 def canceler_batch(
     hold_pos, hold_neg, shift_direction="opposite", cc_enabled=True, per_step=False
 ):
@@ -738,10 +747,8 @@ def canceler_batch(
     hold_neg = _int8_in(hold_neg, 0, "hold bits")
     if hold_pos.shape != hold_neg.shape or hold_pos.ndim != 2:
         raise ValueError("hold bit planes must share a (trials, lanes) shape")
-    if shift_direction not in ("opposite", "same"):
-        raise ValueError("shift_direction must be 'opposite' or 'same'")
+    opposite = _is_opposite(shift_direction)
     lanes = hold_pos.shape[1]
-    opposite = shift_direction == "opposite"
 
     # lane-major: one contiguous row of trials per register cell
     hp = np.ascontiguousarray(hold_pos.T)

@@ -163,7 +163,9 @@ def _load_sweep_config(args):
         raise UsageError("config file must hold a JSON object")
     for alias, name in _ALIASES.items():
         if alias in data:
-            data.setdefault(name, data.pop(alias))
+            if name in data:
+                raise UsageError(f"config file sets {name} twice, as {alias!r} and {name!r}")
+            data[name] = data.pop(alias)
     return data
 
 
@@ -203,6 +205,9 @@ def _cmd_sweep(args):
     out_path = Path(args.out)
     meta_path = out_path.with_suffix(".meta.json")
     axes = _pop_axes(data, args.kind)
+    # checked before the first point runs, not after the whole sweep
+    if not (out_path.parent.is_dir() and os.access(out_path.parent, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write output: {out_path.parent} is not a writable directory")
 
     if args.kind == "canceler":
         unknown = set(data) - _CANCELER_FIELDS

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .batch import (
+    _is_opposite,
     canceler_batch,
     draw_fault_schedule,
     encode_sm_products,  # noqa: F401  unused here, but perfbench/tracer.py wraps it
@@ -161,8 +162,7 @@ class ExperimentConfig:
             raise ValueError("input_scale must lie in (0, 1]")
         if self.metric not in ("standard_rmse", "paper_literal"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.shift_direction not in ("opposite", "same"):
-            raise ValueError("shift_direction must be 'opposite' or 'same'")
+        _is_opposite(self.shift_direction)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.jobs < 1:

@@ -177,6 +177,10 @@ def test_merge_fault_schedules_rejects_mismatched_arrays():
     for schedule in (([2.9], [1]), ([2], [True]), (["2"], [1]), ([2], np.array([1], object))):
         with pytest.raises(ValueError, match="trial 1: fault .* must be integers"):
             merge_fault_schedules([None, schedule])
+    # len() would raise TypeError on scalars, and 2-D arrays would be merged row-wise
+    for schedule in ((3, 4), ([3], 4), (np.array([[1, 2]]), np.array([[3, 4]]))):
+        with pytest.raises(ValueError, match="trial 1: fault .* must be 1-D arrays"):
+            merge_fault_schedules([None, schedule])
 
 
 # -- engine batch vs the scalar oracle ------------------------------------------
@@ -362,18 +366,44 @@ def test_wide_engine_matches_scalar_under_faults(carry_len, n_trials):
     check_engine(seeds, config, p_flip=0.05, check=True)
 
 
-def test_engine_ledger_catches_lost_units(monkeypatch):
-    # a stepper whose emissions stop reporting their bits loses units
-    m = 3
+def break_emissions(monkeypatch, m):
+    """Make the table stepper's emissions stop reporting their bits, so that
+    every emitted unit is lost."""
     broken = batch._carry_table(m).copy()
     emission = slice(3 << (2 * m + 2), 4 << (2 * m + 2))
     broken[emission] &= (1 << 2 * m) - 1
     monkeypatch.setattr(batch, "_carry_table", lambda _: broken)
+
+
+def test_engine_ledger_catches_lost_units(monkeypatch):
+    m = 3
+    break_emissions(monkeypatch, m)
     products = np.ones((2, 2, 20), dtype=np.int8)
     with pytest.raises(RuntimeError, match="at end of run"):
         engine_batch(products, m)
     with pytest.raises(RuntimeError, match="at emit 0"):
         engine_batch(products, m, check_conservation=True)
+
+
+def test_engine_step_check_starts_each_chunk_from_the_registers(monkeypatch):
+    # one cycle per chunk; the first unit is lost at the emission of cycle 10
+    m = 3
+    break_emissions(monkeypatch, m)
+    monkeypatch.setattr(batch, "_CHUNK_ELEMENTS", 1)
+    # no units before cycle 10
+    products = np.zeros((2, 2, 20), dtype=np.int8)
+    products[:, :, 10:] = 1
+    with pytest.raises(RuntimeError, match=r"at emit 10 \(trial 0\)"):
+        engine_batch(products, m, check_conservation=True)
+    # a fault at cycle 9 sets the back cell of trial 1's +1 register: one zero
+    # delivery moves the unit to cell 1, so chunk 10 starts from a stored unit,
+    # and the next one brings it to the front, where cycle 10 emits it
+    faults = (np.array([1]), np.array([9]), np.array([m - 1]))
+    with pytest.raises(RuntimeError, match=r"at emit 10 \(trial 1\)"):
+        engine_batch(np.zeros((2, 1, 20), np.int8), m, fault_schedules=faults,
+                     check_conservation=True)
+    with pytest.raises(RuntimeError, match="at end of run"):
+        engine_batch(np.zeros((2, 1, 20), np.int8), m, fault_schedules=faults)
 
 
 def test_engine_batch_rejects_bad_fault_cells():
@@ -383,6 +413,10 @@ def test_engine_batch_rejects_bad_fault_cells():
     # strings, floats and bools are not cast to int64
     for faults in ((["0"], ["1"], ["1"]), ([0], [1.5], [1]), ([0], [1], [True])):
         with pytest.raises(ValueError, match="must be integers"):
+            engine_batch(np.ones((1, 2, 5), np.int8), 2, fault_schedules=faults)
+    # len() would raise TypeError on scalars, and searchsorted "object too deep" on 2-D
+    for faults in ((0, 1, 1), ([0], [1], 1), ([[0]], [[1]], [[1]])):
+        with pytest.raises(ValueError, match="must be 1-D arrays"):
             engine_batch(np.ones((1, 2, 5), np.int8), 2, fault_schedules=faults)
     # a flip outside the run's cycles would be dropped silently
     for cycle in (-1, 5, 99):
@@ -404,12 +438,17 @@ def test_engine_batch_rejects_bad_fault_cells():
             engine_batch(np.ones((2, 2, 5), np.int8), 2, fault_schedules=faults)
 
 
-def test_engine_batch_rejects_bad_shift_direction():
+def test_engine_batch_rejects_bad_shift_direction(tmp_path):
     products = np.ones((1, 3, 4), np.int8)
     with pytest.raises(ValueError, match="shift_direction"):
         engine_batch(products, 2, shift_direction="sideways")
     with pytest.raises(ValueError, match="shift_direction"):
         canceler_batch(np.ones((1, 3), np.int8), np.ones((1, 3), np.int8), "sideways")
+    # checked in the chunk loop, it would leave a trace file holding only its header
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="shift_direction"):
+        engine_batch(np.zeros((1, 2, 5), np.int8), 4, shift_direction="sideways", trace_path=path)
+    assert not path.exists()
 
 
 # -- tree batch vs the scalar oracle --------------------------------------------
@@ -481,6 +520,9 @@ def test_tree_batch_rejects_bad_fault_cells():
     # an int64 cast would truncate cycle 0.5 and cell 1.99 to 0 and 1
     for faults in (([0], [0.5], [1.99]), ([0.0], [0], [1]), ([0], [0], [True])):
         with pytest.raises(ValueError, match="must be integers"):
+            tree_batch(products, 4, fault_schedules=faults)
+    for faults in ((0, 1, 1), ([0], 0, [1]), ([[0]], [[1]], [[1]])):
+        with pytest.raises(ValueError, match="must be 1-D arrays"):
             tree_batch(products, 4, fault_schedules=faults)
     # empty arrays of any dtype are no faults
     tree_batch(products, 4, fault_schedules=(np.array([]), np.array([]), np.array([])))

@@ -12,6 +12,7 @@ from scbit import (
     read_stream_csv,
     run_inner_product,
 )
+from scbit import experiments
 from scbit.cli import build_parser, main
 
 
@@ -369,6 +370,46 @@ def test_sweep_unwritable_output_io_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("kind", ("accuracy", "fault"))
+def test_sweep_checks_output_directory_before_running(tmp_path, capsys, monkeypatch, kind):
+    # found only at the write, a bad --out would cost the whole sweep
+    def run_point(cfg):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(experiments, "run_point", run_point)
+    out = tmp_path / "missing" / "f.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", kind, "--lanes", "16", "--len", "2000", "--trials", "200",
+        "--out", str(out),
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_aliases_write_the_same_bytes(tmp_path, capsys):
+    point = {"designs": ["novel"], "lanes": [4], "capacities": [2], "stream_len": 200,
+             "trials": 10, "seed": 5}
+    spellings = {
+        "alias": {"cc": False, "direction": "same"},
+        "field": {"cc_enabled": False, "shift_direction": "same"},
+        "default": {},
+    }
+    outputs = {}
+    for name, extra in spellings.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**point, **extra}))
+        out = tmp_path / f"{name}.csv"
+        code, _, _ = run_cli(capsys, "sweep", "accuracy", "--config", str(config),
+                             "--out", str(out))
+        assert code == 0
+        outputs[name] = out.read_bytes(), out.with_suffix(".meta.json").read_bytes()
+    assert outputs["alias"] == outputs["field"]
+    # the fields took effect: the defaults give other bytes
+    assert outputs["alias"][0] != outputs["default"][0]
+    assert outputs["alias"][1] != outputs["default"][1]
+
+
 @pytest.mark.parametrize(
     "kind, config, needle",
     [
@@ -383,6 +424,11 @@ def test_sweep_unwritable_output_io_error(tmp_path, capsys):
         ("canceler", {"lanes": [1, 2], "stream_len": 10}, "stream_len"),
         ("canceler", {"lanes": 4}, "lanes"),
         ("canceler", {"lanes": [1], "trials": "20"}, "trials"),
+        # one field under both spellings: one of the values would be dropped
+        ("canceler", {"cc": False, "cc_enabled": True, "lanes": [2], "trials": 10},
+         "sets cc_enabled twice"),
+        ("accuracy", {"direction": "same", "shift_direction": "same"},
+         "sets shift_direction twice"),
     ],
 )
 def test_sweep_config_errors_exit_2_on_one_line(tmp_path, capsys, kind, config, needle):
