@@ -5,17 +5,24 @@ These run many independent trials in lockstep on numpy arrays (one row
 per trial). The sweeps run hundreds of trials at once; the single-shot
 runs ``run_inner_product``, ``run_tree_inner_product`` and
 ``nonscaled_add`` run one, and the per-cycle trace is written by
-``engine_batch``. Each mechanism is written once: the lane products of
-both designs (``encode_tlb_products``, which is also
-``encode_sm_products``), the canceler sweep (``canceler_batch``), the
-accumulation rule of the carry registers (``_accumulate``, which the
-transition table of narrow registers memoizes), the counter node update
-(``tree_batch``), the signed carry count of the non-scaled adder
-(``adder_batch``), the saturating clamp the tree and the adder share
-(``_clamp``), the split of a fault schedule by cycle (``_flips_by_cycle``)
-and the XOR of a fault into storage (``_toggle``). The test suite checks
-the kernels bit for bit against independent scalar oracles of the
-hardware, including under injected faults.
+``engine_batch``. On one-element rows numpy's per-call cost outweighs the
+work, so at a batch of one trial the engine's carry registers and the
+tree's counters step Python ints through the same rule, the engine's
+through the same memo table. The batch size alone selects that form; the
+adder keeps one form.
+
+Each mechanism is written once: the lane products of both designs
+(``encode_tlb_products``, which is also ``encode_sm_products``), the
+canceler sweep (``canceler_batch``), the accumulation rule of the carry
+registers (``_accumulate``, which the transition table of narrow
+registers memoizes), the counter node update (``tree_batch``, in its
+batch and its one-trial form), the signed carry count of the non-scaled
+adder (``adder_batch``), the saturating clamp of the tree's batch form and
+the adder (``_clamp``), the split of a fault schedule by cycle
+(``_flips_by_cycle``), the XOR of a fault into storage (``_toggle``) and
+the sign extension of a faulted tree counter (``_toggle_counters``). The
+test suite checks the kernels bit for bit against independent scalar
+oracles of the hardware, including under injected faults.
 """
 
 import contextlib
@@ -57,6 +64,15 @@ def _integer_array(values, what, kinds="iu"):
     if values.size and values.dtype.kind not in kinds:
         raise ValueError(f"{what} must be integers")
     return values
+
+
+def _parts(values, names, what):
+    """``values`` as a tuple, after checking that it holds one part per name:
+    the axes of an array's shape, or the arrays of a fault schedule."""
+    parts = tuple(values) if np.iterable(values) else ()
+    if len(parts) != len(names):
+        raise ValueError(f"{what} must be ({', '.join(names)}), got {len(parts)}")
+    return parts
 
 
 def _fault_array(values, what):
@@ -143,9 +159,10 @@ def merge_fault_schedules(schedules):
     """Combine per-trial (cycles, bits) schedules into batch-ready arrays.
 
     Returns (trials, cycles, bits) sorted by cycle; ``schedules`` may
-    contain None entries for fault-free trials. A trial whose cycle and bit
-    arrays are not 1-D, differ in length, or hold entries of a dtype other
-    than an integer one (bools and floats included), is a ValueError.
+    contain None entries for fault-free trials. A trial that is not a pair of
+    arrays, or whose cycle and bit arrays are not 1-D, differ in length, or
+    hold entries of a dtype other than an integer one (bools and floats
+    included), is a ValueError.
     """
     trial_ids = []
     cycles = []
@@ -153,7 +170,7 @@ def merge_fault_schedules(schedules):
     for trial, schedule in enumerate(schedules):
         if schedule is None:
             continue
-        cyc, bit = schedule
+        cyc, bit = _parts(schedule, ("cycles", "bits"), f"trial {trial}: a fault schedule")
         cyc = _fault_array(cyc, f"trial {trial}: fault cycles")
         bit = _fault_array(bit, f"trial {trial}: fault bits")
         if len(cyc) != len(bit):
@@ -178,16 +195,18 @@ def merge_fault_schedules(schedules):
 def _flips_by_cycle(fault_schedules, n_trials, n_cycles, n_cells):
     """Split batch fault arrays by cycle: None or the (trials, cells) toggled.
 
-    Raises ValueError if an array is not 1-D or holds entries of a dtype
-    other than an integer one (bools and floats included), the three differ in
-    length, a trial lies outside [0, n_trials), a cell outside [0, n_cells),
-    a cycle outside [0, n_cycles), or the cycles are not sorted.
+    Raises ValueError if there are not three arrays, an array is not 1-D or
+    holds entries of a dtype other than an integer one (bools and floats
+    included), the three differ in length, a trial lies outside
+    [0, n_trials), a cell outside [0, n_cells), a cycle outside
+    [0, n_cycles), or the cycles are not sorted.
     """
     flips = [None] * n_cycles
     if fault_schedules is None:
         return flips
     f_trials, f_cycles, f_cells = (
-        _fault_array(a, "fault trials, cycles and cells") for a in fault_schedules
+        _fault_array(a, "fault trials, cycles and cells")
+        for a in _parts(fault_schedules, ("trials", "cycles", "cells"), "batch fault arrays")
     )
     if not len(f_trials) == len(f_cycles) == len(f_cells):
         raise ValueError("fault trials, cycles and cells must have equal lengths")
@@ -284,7 +303,11 @@ def _carry_table(m):
 
 
 class _PackedCarry:
-    """Carry registers of every trial as one packed table entry per trial."""
+    """Carry registers of every trial as one packed table entry per trial.
+
+    A batch of one trial steps its entry as a Python int, through a
+    memoryview of the same table.
+    """
 
     def __init__(self, m, n_trials):
         self.m = m
@@ -310,20 +333,36 @@ class _PackedCarry:
         """
         lanes, n_cycles, n_trials = deliveries.shape
         emit = np.int64(3) << self.op_shift
-        step = self.step
-        rows = np.empty((n_cycles, lanes + 1, n_trials), dtype=np.int32)
+        # (cycles, K, trials) in C order, so that a step reads one contiguous row
+        ops = deliveries.transpose(1, 0, 2).astype(np.int64, order="C")
+        ops += 1
+        ops <<= self.op_shift
         entry = self.entry
+        single = n_trials == 1
+        if single:
+            # Python ints through a view of the same table: no second table, and
+            # no numpy call per step
+            step, emit, entry = memoryview(self.step), int(emit), int(entry[0])
+            ops = ops[..., 0].tolist()
+            rows = [[0] * (lanes + 1) for _ in range(n_cycles)]
+        else:
+            step = self.step
+            rows = np.empty((n_cycles, lanes + 1, n_trials), dtype=np.int32)
         for i in range(n_cycles):
             if flips[i] is not None:
                 trials, cells = flips[i]
-                before = self._counts(entry)
-                _toggle(entry[:, None], trials, cells, 2 * self.m)
-                faulted[:, i] = self._counts(entry) - before
-            ops = (deliveries[:, i].astype(np.int64) + 1) << self.op_shift
-            row = rows[i]
+                word = np.array([entry], np.int32) if single else entry
+                before = self._counts(word)
+                _toggle(word[:, None], trials, cells, 2 * self.m)
+                faulted[:, i] = self._counts(word) - before
+                entry = int(word[0]) if single else word
+            row, op = rows[i], ops[i]
             for s in range(lanes):
-                entry = row[s] = step[entry + ops[s]]
+                entry = row[s] = step[entry + op[s]]
             entry = row[lanes] = step[entry + emit]
+        if single:
+            rows = np.array(rows, dtype=np.int32).reshape(n_cycles, lanes + 1, 1)
+            entry = np.array([entry], dtype=np.int32)
         self.entry = entry
         counts = self._counts(rows) if want_counts else None
         rows >>= 2 * self.m
@@ -474,8 +513,8 @@ def engine_batch(
 ):
     """Run the sequential engine over a batch of trials.
 
-    ``products``: (trials, lanes, cycles) ternary lane products; an entry
-    other than -1, 0 or +1 is a ValueError.
+    ``products``: (trials, lanes, cycles) ternary lane products; another
+    rank, or an entry other than -1, 0 or +1, is a ValueError.
     Returns a dict with the emitted bit planes and per-trial counters.
 
     The input shift registers never read the carry registers, so each
@@ -485,8 +524,9 @@ def engine_batch(
     deliveries in order by the rule ``_accumulate``: packed into one
     integer per trial and advanced by gathers from its memo table while
     2M <= 16, and above that by the rule itself on integer registers
-    (uint64 up to M = 64, Python ints above). A fault XORs its cell at the
-    start of its cycle.
+    (uint64 up to M = 64, Python ints above). A batch of one trial steps
+    both forms on Python ints, one high-clock step at a time. A fault XORs
+    its cell at the start of its cycle.
 
     Every run ends with a per-trial ledger of signed units, read from
     ``products`` and the emitted planes: loaded = emitted + stored +
@@ -498,7 +538,8 @@ def engine_batch(
     before it opens.
     """
     products = _int8_in(products, -1, "ternary symbols")
-    n_trials, lanes, n_cycles = products.shape
+    axes = ("trials", "lanes", "cycles")
+    n_trials, lanes, n_cycles = _parts(products.shape, axes, "product axes")
     m = _integer(carry_len, "carry_len")
     if trace_path is not None and n_trials != 1:
         raise ValueError("a trace covers a batch of exactly one trial")
@@ -595,11 +636,25 @@ def _clamp(pending, c_max, out):
     return pending - out
 
 
+def _toggle_counters(counters, trials, cells, width):
+    """Apply faults to (trials, nodes) B-bit two's-complement counters in place:
+    toggle the raw bits, then sign-extend. Returns each trial's change in
+    stored units."""
+    wrap = 1 << width
+    raw = counters & (wrap - 1)
+    _toggle(raw, trials, cells, width)
+    raw -= (raw >= wrap >> 1) * wrap
+    change = (raw - counters).sum(axis=1, dtype=np.int64)
+    counters[:] = raw
+    return change
+
+
 def tree_batch(products, counter_width, fault_schedules=None):
     """Run the counter-based adder tree over a batch of trials.
 
     ``products``: (trials, lanes, cycles) ternary lane products, lanes a
-    power of two; an entry other than -1, 0 or +1 is a ValueError.
+    power of two; another rank, or an entry other than -1, 0 or +1, is a
+    ValueError.
     Each node adds its two ternary inputs and its counter into t, emits
     clamp(t, -1, 1) and keeps the remainder, saturated at +-c_max =
     2^(B-1) - 1; every clamp counts a saturation event. Node storage is a
@@ -607,69 +662,90 @@ def tree_batch(products, counter_width, fault_schedules=None):
     first, so node 0 adds lanes 0 and 1. A counter is a B-bit
     two's-complement register: fault cell ``node * width + bit`` toggles
     raw bit ``bit`` of node ``node``, so one upset can move the stored
-    carry by up to 2^(B-1).
+    carry by up to 2^(B-1). A batch of one trial steps its counters as
+    Python ints, node by node, free of numpy's per-call cost on one-element
+    rows; a larger batch steps every trial's level at once.
 
     Every run ends with a per-trial ledger of signed units, loaded =
     emitted + residual_sum + units removed by the +-c_max clamp - (stored
     change caused by faults), and raises RuntimeError on a mismatch.
     """
     products = _int8_in(products, -1, "ternary symbols")
-    n_trials, lanes, n_cycles = products.shape
+    axes = ("trials", "lanes", "cycles")
+    n_trials, lanes, n_cycles = _parts(products.shape, axes, "product axes")
     if lanes < 2 or lanes & (lanes - 1):
         raise ValueError("tree batch needs a power-of-two lane count >= 2")
     width = _integer(counter_width, "counter width")
     nodes = lanes - 1
     dtype = _counter_dtype(width, nodes)
     c_max = 2 ** (width - 1) - 1
-    wrap = 1 << width
-    half = 1 << (width - 1)
-
-    level_slices = []
-    start, size = 0, lanes // 2
-    while size >= 1:
-        level_slices.append(slice(start, start + size))
-        start += size
-        size //= 2
 
     counters = np.zeros((n_trials, nodes), dtype=dtype)
-    pending = np.empty_like(counters)
     emitted = np.zeros((n_trials, n_cycles), dtype=np.int8)
-    # per node: saturation events and units removed by the clamp
-    saturations = np.zeros((n_trials, nodes), dtype=np.int64)
-    removed = np.zeros((n_trials, nodes), dtype=np.int64)
     faulted = np.zeros(n_trials, dtype=np.int64)
 
     flips = _flips_by_cycle(fault_schedules, n_trials, n_cycles, nodes * width)
-    for cycle in range(n_cycles):
-        if flips[cycle] is not None:
-            # toggle the raw two's-complement bits, then sign-extend
-            trials, cells = flips[cycle]
-            raw = counters & (wrap - 1)
-            _toggle(raw, trials, cells, width)
-            raw -= (raw >= half) * wrap
-            faulted += (raw - counters).sum(axis=1, dtype=np.int64)
-            counters[:] = raw
+    if n_trials == 1:
+        stored = [0] * nodes
+        cycles = products[0].T.tolist()
+        n_saturations = n_removed = 0
+        for cycle in range(n_cycles):
+            if flips[cycle] is not None:
+                word = np.array([stored], dtype=dtype)
+                faulted += _toggle_counters(word, *flips[cycle], width)
+                stored = word[0].tolist()
+            # the lane inputs, then each node's output: node n adds entries
+            # 2n and 2n + 1, and the root's output comes last
+            values = cycles[cycle]
+            for node in range(nodes):
+                t = values[2 * node] + values[2 * node + 1] + stored[node]
+                z = (t > 0) - (t < 0)  # clamp(t, -1, 1) of an integer
+                carry = t - z
+                if not -c_max <= carry <= c_max:
+                    kept = c_max if carry > 0 else -c_max
+                    n_saturations += 1
+                    n_removed += carry - kept
+                    carry = kept
+                stored[node] = carry
+                values.append(z)
+            emitted[0, cycle] = values[-1]
+        counters[0] = stored
+        saturations = np.array([n_saturations], dtype=np.int64)
+        removed = np.array([n_removed], dtype=np.int64)
+    else:
+        level_slices = []
+        start, size = 0, lanes // 2
+        while size >= 1:
+            level_slices.append(slice(start, start + size))
+            start += size
+            size //= 2
+        pending = np.empty_like(counters)
+        # per node: saturation events and units removed by the clamp
+        saturations = np.zeros((n_trials, nodes), dtype=np.int64)
+        removed = np.zeros((n_trials, nodes), dtype=np.int64)
+        for cycle in range(n_cycles):
+            if flips[cycle] is not None:
+                faulted += _toggle_counters(counters, *flips[cycle], width)
 
-        # a level reads only its own counters, so all levels clamp at once
-        values = products[:, :, cycle].astype(dtype)
-        for sl in level_slices:
-            t = values[:, 0::2] + values[:, 1::2] + counters[:, sl]
-            values = np.minimum(np.maximum(t, -1), 1)
-            np.subtract(t, values, out=pending[:, sl])
-        emitted[:, cycle] = values[:, 0]
-        excess = _clamp(pending, c_max, counters)
-        saturations += excess != 0
-        removed += excess
+            # a level reads only its own counters, so all levels clamp at once
+            values = products[:, :, cycle].astype(dtype)
+            for sl in level_slices:
+                t = values[:, 0::2] + values[:, 1::2] + counters[:, sl]
+                values = np.minimum(np.maximum(t, -1), 1)
+                np.subtract(t, values, out=pending[:, sl])
+            emitted[:, cycle] = values[:, 0]
+            excess = _clamp(pending, c_max, counters)
+            saturations += excess != 0
+            removed += excess
+        saturations, removed = saturations.sum(axis=1), removed.sum(axis=1)
 
     residual = counters.sum(axis=1, dtype=np.int64)
     loaded = products.sum(axis=(1, 2), dtype=np.int64)
-    _check_ledger(
-        loaded, emitted.sum(axis=1, dtype=np.int64) + residual + removed.sum(axis=1) - faulted
-    )
+    _check_ledger(loaded, emitted.sum(axis=1, dtype=np.int64) + residual + removed - faulted)
 
     return {
         "emitted": emitted,
-        "saturation_events": saturations.sum(axis=1),
+        "saturation_events": saturations,
         "residual_sum": residual,
     }
 

@@ -246,14 +246,29 @@ def test_engine_batch_matches_scalar_under_faults():
 
 
 def test_engine_batch_multi_trial_stacking():
-    # rows of a batch are independent: same results as one-trial batches
+    # rows of a batch are independent: a batch gives each row the results of
+    # that trial run alone, which steps Python ints
     rng = np.random.default_rng(23)
-    products = rng.integers(-1, 2, size=(5, 3, 60)).astype(np.int8)
-    whole = engine_batch(products, 2)
-    for t in range(5):
-        single = engine_batch(products[t : t + 1], 2)
-        assert (single["emitted_pos"][0] == whole["emitted_pos"][t]).all()
-        assert (single["emitted_neg"][0] == whole["emitted_neg"][t]).all()
+    trials, lanes, stream_len = 5, 3, 60
+    products = rng.integers(-1, 2, size=(trials, lanes, stream_len)).astype(np.int8)
+    # the table stepper, and the wide one above 2M = 16
+    for carry_len in (2, 9):
+        schedules = [
+            draw_fault_schedule(src, 2 * carry_len, stream_len, 0.05)
+            for src in RandomSource(23).spawn(trials)
+        ]
+        assert all(len(cycles) for cycles, _ in schedules)
+        whole = engine_batch(
+            products, carry_len, fault_schedules=merge_fault_schedules(schedules),
+            check_conservation=True,
+        )
+        for t, schedule in enumerate(schedules):
+            single = engine_batch(
+                products[t : t + 1], carry_len,
+                fault_schedules=merge_fault_schedules([schedule]), check_conservation=True,
+            )
+            for key in whole:
+                assert np.array_equal(single[key][0], whole[key][t]), (carry_len, key)
 
 
 def test_engine_batch_conservation_flag():
@@ -438,6 +453,20 @@ def test_engine_batch_rejects_bad_fault_cells():
             engine_batch(np.ones((2, 2, 5), np.int8), 2, fault_schedules=faults)
 
 
+def test_kernels_reject_wrong_rank_inputs():
+    # each of these failed to unpack, in Python's words
+    with pytest.raises(ValueError, match=r"product axes must be \(trials, lanes, cycles\), got 2"):
+        engine_batch(np.ones((2, 5), np.int8), 2)
+    with pytest.raises(ValueError, match=r"product axes must be \(trials, lanes, cycles\), got 2"):
+        tree_batch(np.ones((2, 4), np.int8), 2)
+    two_arrays = (np.array([0]), np.array([1]))
+    for kernel in (engine_batch, tree_batch):
+        with pytest.raises(ValueError, match=r"fault arrays must be \(trials, cycles, cells\)"):
+            kernel(np.ones((1, 4, 5), np.int8), 2, fault_schedules=two_arrays)
+    with pytest.raises(ValueError, match=r"trial 0: a fault schedule must be \(cycles, bits\)"):
+        merge_fault_schedules([(np.array([1]),)])
+
+
 def test_engine_batch_rejects_bad_shift_direction(tmp_path):
     products = np.ones((1, 3, 4), np.int8)
     with pytest.raises(ValueError, match="shift_direction"):
@@ -462,20 +491,29 @@ def assert_tree_matches_oracle(out, t, products, width, schedule=()):
 
 
 def check_tree(rng, lanes, width, stream_len, p_flip=0.0, top_bit_flips=False):
-    """One random trial of tree_batch against the oracle."""
-    x = rng.uniform(-1, 1, lanes)
-    y = rng.uniform(-1, 1, lanes)
-    seed = int(rng.integers(0, 2**32))
-    products = encode_sm_products(x, y, stream_len, RandomSource(seed))
-    cycles, cells = draw_fault_schedule(
-        RandomSource(seed + 9), (lanes - 1) * width, stream_len, p_flip
-    )
-    if top_bit_flips:  # the top bits of the first and the root counter, at cycle 5
-        cycles = np.concatenate([cycles, [5, 5]])
-        cells = np.concatenate([cells, [width - 1, 3 * width - 1]])
-    faults = merge_fault_schedules([(cycles, cells)])
-    out = tree_batch(products[None], width, fault_schedules=faults)
-    assert_tree_matches_oracle(out, 0, products, width, faults[1:])
+    """A batch of three random trials of tree_batch, each row against the
+    oracle and against the same trial run alone, which steps Python ints."""
+    products, schedules = [], []
+    for _ in range(3):
+        x = rng.uniform(-1, 1, lanes)
+        y = rng.uniform(-1, 1, lanes)
+        seed = int(rng.integers(0, 2**32))
+        products.append(encode_sm_products(x, y, stream_len, RandomSource(seed)))
+        cycles, cells = draw_fault_schedule(
+            RandomSource(seed + 9), (lanes - 1) * width, stream_len, p_flip
+        )
+        if top_bit_flips:  # the top bits of the first and the root counter, at cycle 5
+            cycles = np.concatenate([cycles, [5, 5]])
+            cells = np.concatenate([cells, [width - 1, 3 * width - 1]])
+        schedules.append(merge_fault_schedules([(cycles, cells)]))
+    products = np.stack(products)
+    batch_faults = merge_fault_schedules([faults[1:] for faults in schedules])
+    out = tree_batch(products, width, fault_schedules=batch_faults)
+    for t, faults in enumerate(schedules):
+        assert_tree_matches_oracle(out, t, products[t], width, faults[1:])
+        alone = tree_batch(products[t : t + 1], width, fault_schedules=faults)
+        for key in out:
+            assert np.array_equal(alone[key][0], out[key][t]), key
 
 
 def test_tree_batch_matches_scalar():
