@@ -1,24 +1,22 @@
-"""Trial-vectorized kernels: the one implementation of both designs and
-of the non-scaled adder.
+"""Trial-vectorized kernels: the one implementation of both designs.
 
 These run many independent trials in lockstep on numpy arrays (one row
 per trial). The sweeps run hundreds of trials at once; the single-shot
-runs ``run_inner_product``, ``run_tree_inner_product`` and
-``nonscaled_add`` run one, and the per-cycle trace is written by
-``engine_batch``. On one-element rows numpy's per-call cost outweighs the
-work, so at a batch of one trial the engine's carry registers and the
-tree's counters step Python ints through the same rule, the engine's
-through the same memo table. The batch size alone selects that form; the
-adder keeps one form.
+runs ``run_inner_product`` and ``run_tree_inner_product`` run one, and
+the per-cycle trace is written by ``engine_batch``. On one-element rows
+numpy's per-call cost outweighs the work, so at a batch of one trial the
+engine's carry registers and the tree's counters step Python ints through
+the same rule, the engine's through the same memo table. The batch size
+alone selects that form. The non-scaled adder adds one pair of streams,
+so its kernel is the Python-int stepper ``adder.add_ternary``.
 
 Each mechanism is written once: the lane products of both designs
 (``encode_tlb_products``, which is also ``encode_sm_products``), the
 canceler sweep (``canceler_batch``), the accumulation rule of the carry
 registers (``_accumulate``, which the transition table of narrow
 registers memoizes), the counter node update (``tree_batch``, in its
-batch and its one-trial form), the signed carry count of the non-scaled
-adder (``adder_batch``), the saturating clamp of the tree's batch form and
-the adder (``_clamp``), the split of a fault schedule by cycle
+batch and its one-trial form), the saturating clamp of the tree's batch
+form (``_clamp``), the split of a fault schedule by cycle
 (``_flips_by_cycle``), the XOR of a fault into storage (``_toggle``) and
 the sign extension of a faulted tree counter (``_toggle_counters``). The
 test suite checks the kernels bit for bit against independent scalar
@@ -43,7 +41,6 @@ __all__ = [
     "merge_fault_schedules",
     "engine_batch",
     "tree_batch",
-    "adder_batch",
     "canceler_batch",
     "TRACE_COLUMNS",
 ]
@@ -748,45 +745,6 @@ def tree_batch(products, counter_width, fault_schedules=None):
         "saturation_events": saturations,
         "residual_sum": residual,
     }
-
-
-def adder_batch(x, y, capacity):
-    """Run the shift-register non-scaled adder over a batch of stream pairs.
-
-    ``x``, ``y``: (pairs, positions) ternary symbols; an entry other than
-    -1, 0 or +1 is a ValueError. The adder keeps its pending carries in a
-    +1 and a -1 shift register of M = ``capacity`` cells.
-    Fault-free, both hold thermometer codes and at most one of them is
-    non-empty, so the pair is exactly a signed count c in [-M, M]: the
-    +1 register holds max(c, 0) ones and the -1 register max(-c, 0). Per
-    position, with s = x + y, the adder emits z = clamp(s + sign(c), -1, 1)
-    and keeps c + s - z, saturated at +-M; every clamp is an overflow event.
-
-    Returns (emitted, stored, overflow_events): the (pairs, positions) int8
-    output symbols, the signed stored count after every position and the
-    per-pair overflow events. Every run ends with a per-pair ledger of
-    signed units, loaded = emitted + stored + units removed by the clamp,
-    and raises RuntimeError on a mismatch.
-    """
-    x = _int8_in(x, -1, "ternary symbols")
-    y = _int8_in(y, -1, "ternary symbols")
-    if x.shape != y.shape or x.ndim != 2:
-        raise ValueError("adder inputs must share a (pairs, positions) shape")
-    _integer(capacity, "register capacity")
-    n_pairs, length = x.shape
-    # position-major, so that every position is one contiguous row of pairs
-    sums = np.ascontiguousarray((x.astype(np.int64) + y).T)
-    emitted = np.empty_like(sums)
-    stored = np.empty_like(sums)
-    removed = np.empty_like(sums)
-    count = np.zeros(n_pairs, dtype=np.int64)
-    for pos in range(length):
-        z = emitted[pos]
-        np.minimum(np.maximum(sums[pos] + np.sign(count), -1, out=z), 1, out=z)
-        removed[pos] = _clamp(count + sums[pos] - z, capacity, stored[pos])
-        count = stored[pos]
-    _check_ledger(sums.sum(axis=0), emitted.sum(axis=0) + count + removed.sum(axis=0))
-    return emitted.T.astype(np.int8), stored.T, np.count_nonzero(removed, axis=0)
 
 
 def _is_opposite(shift_direction):

@@ -365,9 +365,6 @@ class SweepResult:
     rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def column(self, name):
-        return [row[name] for row in self.rows]
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -130,9 +130,6 @@ class RandomSource:
         """Uniform samples in [-1, 1)."""
         return self._gen.uniform(-1.0, 1.0, size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
-
     def binomial(self, n, p):
         return int(self._gen.binomial(n, p))
 

@@ -18,7 +18,8 @@ from scbit import (
     tlb_multiply_bit,
     tlb_to_sm_bit,
 )
-from scbit.batch import adder_batch, engine_batch
+from scbit.adder import add_ternary
+from scbit.batch import engine_batch
 from scbit.experiments import (
     ExperimentConfig,
     rmse,
@@ -59,15 +60,15 @@ def test_criterion_1_truth_tables():
     report(1, ok, f"conversion 4+4 rows, multipliers {mult_cases}+{mult_cases} cases, exact")
 
 
-def check_adder_batch(xs, ys, capacity):
+def check_adder(xs, ys, capacity):
     """Run equal-length stream pairs through the adder kernel against the oracle.
 
     Returns the first mismatching (xs, ys) pair, or None.
     """
-    emitted, stored, overflows = adder_batch(xs, ys, capacity)
-    for x, y, z, count, ovf in zip(xs, ys, emitted.tolist(), stored[:, -1], overflows):
-        want_z, want_pc, want_nc, want_ovf = adder_oracle(x, y, capacity)
-        if (z, max(count, 0), max(-count, 0), ovf) != (want_z, want_pc, want_nc, want_ovf):
+    for x, y in zip(xs, ys):
+        z, stored, events = add_ternary(x, y, capacity)
+        count = stored[-1]
+        if (z, max(count, 0), max(-count, 0), events[-1]) != adder_oracle(x, y, capacity):
             return x, y
     return None
 
@@ -94,7 +95,7 @@ def test_criterion_2_adder_oracle_equivalence():
         pairs[0].append(xs)
         pairs[1].append(ys)
     for (_, capacity), (xs, ys) in groups.items():
-        bad = check_adder_batch(xs, ys, capacity)
+        bad = check_adder(xs, ys, capacity)
         if bad is not None:
             report(2, False, f"mismatch at xs={bad[0]} ys={bad[1]} M={capacity}")
     checked = exhaustive + random_cases
@@ -111,7 +112,8 @@ def test_criterion_3_conservation():
     for i in range(pairs):
         xs[i] = rng.integers(-1, 2, stream_len)
         ys[i] = rng.integers(-1, 2, stream_len)
-    emitted, stored, overflows = adder_batch(xs, ys, 32)
+    runs = [add_ternary(x, y, 32) for x, y in zip(xs.tolist(), ys.tolist())]
+    emitted, stored, overflows = (np.array(part) for part in zip(*runs))
     out = np.cumsum(emitted, axis=1, dtype=np.int64)
     total = np.cumsum(xs, axis=1, dtype=np.int64) + np.cumsum(ys, axis=1, dtype=np.int64)
     if not np.array_equal(out + stored, total):

@@ -16,7 +16,7 @@ from scbit import (
     tlb_multiply,
     tlb_multiply_bit,
 )
-from scbit.batch import adder_batch
+from scbit.adder import add_ternary
 
 
 # -- carry shift register ---------------------------------------------------
@@ -235,9 +235,9 @@ def test_adder_rejects_bad_capacity():
     with pytest.raises(ValueError, match="capacity"):
         nonscaled_add(x, x, 0)
     with pytest.raises(ValueError, match="capacity"):
-        adder_batch(np.ones((2, 3), np.int8), np.ones((2, 3), np.int8), 0)
-    with pytest.raises(ValueError, match="shape"):
-        adder_batch(np.ones((2, 3), np.int8), np.ones((2, 4), np.int8), 2)
+        nonscaled_add(x, x, -1)
+    with pytest.raises(ValueError, match="equal length"):
+        add_ternary([1, 1], [1], 2)
 
 
 @given(

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import oracles
 from scbit import ExperimentConfig, RandomSource, SmStream, run_inner_product, tlb_multiply
-from scbit import batch, encode_sm, encode_tlb, sm_multiply_bit, sm_to_tlb, ternary_values
+from scbit import adder, batch, encode_sm, encode_tlb, sm_multiply_bit, sm_to_tlb, ternary_values
+from scbit import nonscaled_add
+from scbit.adder import add_ternary
 from scbit.batch import (
-    adder_batch,
     canceler_batch,
     draw_fault_schedule,
     encode_sm_products,
@@ -369,6 +370,33 @@ def test_carry_table_pinned(m):
     assert hashlib.sha256(step.tobytes()).hexdigest() == CARRY_TABLE_SHA256[m]
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_fault_free_registers_hold_a_signed_count(m):
+    # from empty registers, every op sequence reaches only thermometer codes
+    # with at most one register non-empty: the 2M + 1 counts c in -M..M. A
+    # delivery d keeps clamp(c + d, -M, M) and flags the unit the clamp
+    # drops; an emission puts out sign(c) and keeps c - sign(c)
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        pc, nc = frontier.pop()
+        c = pc.bit_length() - nc.bit_length()
+        for op in range(4):
+            after_pc, after_nc, flag_p, flag_n = batch._accumulate(pc, nc, op, m)
+            if op == 3:
+                want = (c - (c > 0) + (c < 0), c > 0, c < 0)
+            else:
+                t = c + op - 1
+                want = (max(-m, min(t, m)), t > m, t < -m)
+            assert (after_pc.bit_length() - after_nc.bit_length(), flag_p, flag_n) == want
+            if (after_pc, after_nc) not in seen:
+                seen.add((after_pc, after_nc))
+                frontier.append((after_pc, after_nc))
+    codes = [(1 << c) - 1 for c in range(m + 1)]
+    assert len(seen) == 2 * m + 1
+    assert seen == {(c, 0) for c in codes} | {(0, c) for c in codes}
+
+
 # the wide stepper's register dtype changes from uint64 to Python ints above 64
 # cells; a batch of one trial steps Python ints at every width
 @pytest.mark.parametrize("carry_len", (9, 32, 33, 64, 65))
@@ -594,13 +622,18 @@ def test_tree_ledger_catches_lost_units(monkeypatch):
         tree_batch(products, 2)
 
 
+def saturate_unreported(count, capacity):
+    """A saturation that stops reporting the units it removes."""
+    return (capacity if count > 0 else -capacity), 0
+
+
 def test_adder_ledger_catches_lost_units(monkeypatch):
     # a run of +1 pairs overflows a 2-cell register
-    x = np.ones((2, 20), dtype=np.int8)
-    assert adder_batch(x, x, 2)[2].tolist() == [18, 18]
-    monkeypatch.setattr(batch, "_clamp", clamp_unreported)
+    x = [1] * 20
+    assert add_ternary(x, x, 2)[2][-1] == 18
+    monkeypatch.setattr(adder, "_saturate", saturate_unreported)
     with pytest.raises(RuntimeError, match="at end of run"):
-        adder_batch(x, x, 2)
+        add_ternary(x, x, 2)
 
 
 def test_tree_batch_rejects_bad_lanes():
@@ -613,13 +646,7 @@ def test_kernels_reject_non_ternary_symbols(bad):
     # checked before the int8 cast, which would turn 255 into -1
     products = np.zeros((1, 2, 4), dtype=bad.dtype)
     products[0, 1, 2] = bad
-    zeros = np.zeros_like(products[0])
-    runs = (
-        lambda: engine_batch(products, 2),
-        lambda: tree_batch(products, 4),
-        lambda: adder_batch(products[0], zeros, 2),
-        lambda: adder_batch(zeros, products[0], 2),
-    )
+    runs = (lambda: engine_batch(products, 2), lambda: tree_batch(products, 4))
     for run in runs:
         with pytest.raises(ValueError, match="ternary symbols"):
             run()
@@ -633,8 +660,9 @@ def test_kernels_reject_non_integer_sizes(size):
         engine_batch(products, size)
     with pytest.raises(ValueError, match="width"):
         tree_batch(products, size)
+    stream = oracles.tlb_from_ternary([1, 1, 1, 1])
     with pytest.raises(ValueError, match="capacity"):
-        adder_batch(products[0], products[0], size)
+        nonscaled_add(stream, stream, size)
 
 
 # -- shift-direction experiment kernel ----------------------------------------

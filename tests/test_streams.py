@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -354,3 +356,15 @@ def test_package_exports_pinned():
     assert len(set(scbit.__all__)) == len(scbit.__all__)
     for name in scbit.__all__:
         assert getattr(scbit, name) is not None, name
+
+
+def test_submodule_exports_resolve():
+    # the pin above checks only the package; a stale name in a submodule's
+    # __all__ would pass it
+    checked = []
+    for info in pkgutil.iter_modules(scbit.__path__):
+        module = importlib.import_module(f"scbit.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"scbit.{info.name}.{name}"
+        checked.append(info.name)
+    assert {"adder", "batch", "experiments"} <= set(checked)
