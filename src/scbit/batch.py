@@ -5,27 +5,29 @@ per trial). The sweeps run hundreds of trials at once; the single-shot
 runs ``run_inner_product`` and ``run_tree_inner_product`` run one, and
 the per-cycle trace is written by ``engine_batch``. On one-element rows
 numpy's per-call cost outweighs the work, so at a batch of one trial the
-engine's carry registers and the tree's counters step Python ints through
-the same rule, the engine's through the same memo table. The batch size
-alone selects that form. The non-scaled adder adds one pair of streams,
-so its kernel is the Python-int stepper ``adder.add_ternary``.
+engine's packed carry entry and the tree's counters step Python ints
+through the same rule. The batch size alone selects that form. The
+non-scaled adder adds one pair of streams, so its kernel is the Python-int
+stepper ``adder.add_ternary``.
 
 Each mechanism is written once: the lane products of both designs
 (``encode_tlb_products``, which is also ``encode_sm_products``), the
 canceler sweep (``canceler_batch``), the accumulation rule of the carry
-registers (``_accumulate``, which the transition table of narrow
-registers memoizes), the counter node update (``tree_batch``, in its
-batch and its one-trial form), the saturating clamp of the tree's batch
-form (``_clamp``), the split of a fault schedule by cycle
-(``_flips_by_cycle``), the XOR of a fault into storage (``_toggle``) and
-the sign extension of a faulted tree counter (``_toggle_counters``). The
-test suite checks the kernels bit for bit against independent scalar
-oracles of the hardware, including under injected faults.
+registers (``_accumulate``, which ``_Rule`` indexes like a table and
+``_carry_table`` memoizes for narrow registers), the counter node update
+(``tree_batch``, in its batch and its one-trial form), the saturating
+clamp of the tree's batch form (``_clamp``), the split of a fault
+schedule by cycle (``_flips_by_cycle``), the XOR of a fault into storage
+(``_toggle``) and the sign extension of a faulted tree counter
+(``_toggle_counters``). The test suite checks the kernels bit for bit
+against independent scalar oracles of the hardware, including under
+injected faults.
 """
 
 import contextlib
 import csv
 import functools
+import numbers
 
 import numpy as np
 
@@ -125,8 +127,10 @@ def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
     """
     n_bits = _integer(n_bits, "storage bit count", low=0)
     n_cycles = _integer(n_cycles, "cycle count", low=0)
-    if not 0.0 <= p_flip <= 1.0:
-        raise ValueError("flip probability must lie in [0, 1]")
+    # a bool is not a probability, though True <= 1.0 would let it through
+    real = isinstance(p_flip, numbers.Real) and not isinstance(p_flip, bool)
+    if not (real and 0.0 <= p_flip <= 1.0):
+        raise ValueError(f"flip probability must be a real number in [0, 1], got {p_flip!r}")
     total = n_bits * n_cycles
     count = rng.binomial(total, p_flip) if p_flip > 0.0 else 0
     if count == 0:
@@ -231,15 +235,15 @@ def _toggle(words, trials, cells, width):
 
 
 # The packed carry state of 2M bits is stepped by table gathers up to this
-# width; the table holds 16 * 4**M entries, so wider registers step the rule
-# itself on integer registers.
+# width; the table holds 16 * 4**M entries, so wider registers index the rule
+# itself.
 _TABLE_MAX_BITS = 16
 # trial * cycle * lane elements per chunk of cycles; bounds the working set
 _CHUNK_ELEMENTS = 1 << 15
 
 
 def _popcount(values):
-    """Set bits of every value as int64; registers above 64 cells are Python ints."""
+    """Set bits of every value as int64; entries above M = 29 are Python ints."""
     if values.dtype != object:
         return np.bitwise_count(values).astype(np.int64)
     count = np.zeros(values.shape, dtype=np.int64)
@@ -279,38 +283,57 @@ def _accumulate(pc, nc, op, m):
     )
 
 
+class _Rule:
+    """``_accumulate`` indexed like its table, on packed carry entries.
+
+    An entry is the state ``pc | nc << M`` with the step's two flag bits
+    above it. ``rule[op << (2M + 2) | entry]`` is the entry after ``op``
+    acts on the entry's state, with the step's flags; the flags of the
+    input entry are ignored. An index is an integer array or a Python int.
+    """
+
+    def __init__(self, m):
+        self.m = m
+
+    def __getitem__(self, index):
+        m = self.m
+        mask = (1 << m) - 1
+        op = index >> (2 * m + 2)
+        pc, nc, flag_p, flag_n = _accumulate(index & mask, index >> m & mask, op, m)
+        return pc | nc << m | flag_p << 2 * m | flag_n << (2 * m + 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _carry_table(m):
-    """``_accumulate`` over every state of the registers packed as ``pc | nc << M``.
+    """``_Rule(m)`` memoized over every index: a read-only int32 array.
 
-    An entry is a packed state with two flag bits above it. For ``op`` 0 to
-    3, ``step[op << (2M + 2) | entry]`` is the entry after ``op`` acts on the
-    entry's state, with the step's flags; the flags of the input entry are
-    ignored. Built on first use per M; read-only.
+    Built on first use per M, from the 4 * 4**M (op, state) indices with
+    clear input flags, then one copy per value of the two ignored flag bits.
     """
-    state = np.arange(4**m)
-    after = []
-    for op in range(4):
-        pc, nc, flag_p, flag_n = _accumulate(state & ((1 << m) - 1), state >> m, op, m)
-        after.append(pc | nc << m | flag_p << 2 * m | flag_n << (2 * m + 1))
-    # one copy per value of the two input flag bits
-    step = np.repeat(np.stack(after).astype(np.int32), 4, axis=0).reshape(-1)
+    index = np.arange(4)[:, None] << (2 * m + 2) | np.arange(4**m)
+    step = np.repeat(_Rule(m)[index].astype(np.int32), 4, axis=0).reshape(-1)
     step.flags.writeable = False
     return step
 
 
-class _PackedCarry:
-    """Carry registers of every trial as one packed table entry per trial.
+class _Carry:
+    """Carry registers of every trial as one packed entry per trial.
 
-    A batch of one trial steps its entry as a Python int, through a
-    memoryview of the same table.
+    Each step reads the next entry from ``_carry_table`` while 2M fits
+    ``_TABLE_MAX_BITS`` and from ``_Rule`` above. Entries are int32 for the
+    table, int64 while an index fits (M <= 29) and Python ints above. A
+    batch of one trial steps its entry as a Python int, through a memoryview
+    of the table or through the rule itself.
     """
 
     def __init__(self, m, n_trials):
         self.m = m
-        self.step = _carry_table(m)
         self.op_shift = 2 * m + 2
-        self.entry = np.zeros(n_trials, dtype=np.int32)
+        if 2 * m <= _TABLE_MAX_BITS:
+            self.step, dtype = _carry_table(m), np.int32
+        else:
+            self.step, dtype = _Rule(m), np.int64 if self.op_shift + 2 <= 63 else object
+        self.entry = np.zeros(n_trials, dtype=dtype)
 
     def _counts(self, entries):
         halves = np.array([0, self.m], dtype=np.int32).reshape((2,) + (1,) * entries.ndim)
@@ -329,87 +352,44 @@ class _PackedCarry:
         step, of shape (2, cycles, K + 1, trials).
         """
         lanes, n_cycles, n_trials = deliveries.shape
-        emit = np.int64(3) << self.op_shift
-        # (cycles, K, trials) in C order, so that a step reads one contiguous row
-        ops = deliveries.transpose(1, 0, 2).astype(np.int64, order="C")
-        ops += 1
-        ops <<= self.op_shift
         entry = self.entry
+        dtype = entry.dtype
+        # (cycles, K + 1, trials) in C order, so that a step reads one contiguous
+        # row; op 3 at step K emits
+        ops = np.full((n_cycles, lanes + 1, n_trials), 3, np.promote_types(dtype, np.int64))
+        ops[:, :lanes] = deliveries.transpose(1, 0, 2) + 1
+        ops <<= self.op_shift
         single = n_trials == 1
         if single:
-            # Python ints through a view of the same table: no second table, and
-            # no numpy call per step
-            step, emit, entry = memoryview(self.step), int(emit), int(entry[0])
+            # Python ints through a view of the same table, or the rule: no
+            # second table, and no numpy call per step
+            step = memoryview(self.step) if isinstance(self.step, np.ndarray) else self.step
+            entry = int(entry[0])
             ops = ops[..., 0].tolist()
             rows = [[0] * (lanes + 1) for _ in range(n_cycles)]
         else:
             step = self.step
-            rows = np.empty((n_cycles, lanes + 1, n_trials), dtype=np.int32)
+            rows = np.empty(ops.shape, dtype=dtype)
         for i in range(n_cycles):
             if flips[i] is not None:
                 trials, cells = flips[i]
-                word = np.array([entry], np.int32) if single else entry
+                word = np.array([entry], dtype) if single else entry
                 before = self._counts(word)
                 _toggle(word[:, None], trials, cells, 2 * self.m)
                 faulted[:, i] = self._counts(word) - before
                 entry = int(word[0]) if single else word
             row, op = rows[i], ops[i]
-            for s in range(lanes):
+            for s in range(lanes + 1):
                 entry = row[s] = step[entry + op[s]]
-            entry = row[lanes] = step[entry + emit]
         if single:
-            rows = np.array(rows, dtype=np.int32).reshape(n_cycles, lanes + 1, 1)
-            entry = np.array([entry], dtype=np.int32)
+            rows = np.array(rows, dtype=dtype).reshape(n_cycles, lanes + 1, 1)
+            entry = np.array([entry], dtype=dtype)
         self.entry = entry
         counts = self._counts(rows) if want_counts else None
-        rows >>= 2 * self.m
-        return rows, counts
+        return (rows >> 2 * self.m).astype(np.int8), counts
 
     def residuals(self):
         return tuple(self._counts(self.entry))
-
-
-class _WideCarry:
-    """Carry registers as (pc, nc) integer rows, for 2M above the table width.
-
-    A register is a uint64 up to 64 cells and a Python int above. A batch
-    of one trial steps plain Python ints, free of numpy's per-call cost.
-    """
-
-    def __init__(self, m, n_trials):
-        self.m = m
-        self.regs = np.zeros((2, n_trials), dtype=np.uint64 if m <= 64 else object)
-
-    def run(self, deliveries, flips, faulted, want_counts):
-        """Same contract as ``_PackedCarry.run``."""
-        lanes, n_cycles, n_trials = deliveries.shape
-        m = self.m
-        regs = self.regs
-        flags = np.empty((n_cycles, lanes + 1, n_trials), dtype=np.int8)
-        counts = np.empty((2,) + flags.shape, dtype=np.int64) if want_counts else None
-        ops = (deliveries + 1).transpose(1, 0, 2)
-        single = n_trials == 1
-        if single:
-            ops = ops[..., 0].tolist()
-        for i in range(n_cycles):
-            if flips[i] is not None:
-                trials, cells = flips[i]
-                before = _popcount(regs)
-                _toggle(regs.T, trials, cells, m)
-                faulted[:, i] = _popcount(regs) - before
-            pc, nc = regs[:, 0].tolist() if single else regs
-            row = ops[i]
-            for s in range(lanes + 1):
-                pc, nc, flag_p, flag_n = _accumulate(pc, nc, row[s] if s < lanes else 3, m)
-                flags[i, s] = flag_p | flag_n << 1
-                if want_counts:
-                    counts[:, i, s] = _popcount(np.array([pc, nc], regs.dtype)).reshape(2, -1)
-            regs[0] = pc
-            regs[1] = nc
-        return flags, counts
-
-    def residuals(self):
-        return tuple(_popcount(self.regs))
 
 
 def _unbalanced(where, trial, lhs, rhs):
@@ -518,12 +498,12 @@ def engine_batch(
     chunk of cycles runs in two stages. ``canceler_batch`` first computes
     the front pair delivered at each of the K high-clock steps of every
     cycle in the chunk at once. The carry registers then step through those
-    deliveries in order by the rule ``_accumulate``: packed into one
-    integer per trial and advanced by gathers from its memo table while
-    2M <= 16, and above that by the rule itself on integer registers
-    (uint64 up to M = 64, Python ints above). A batch of one trial steps
-    both forms on Python ints, one high-clock step at a time. A fault XORs
-    its cell at the start of its cycle.
+    deliveries in order by the rule ``_accumulate``, packed into one entry
+    per trial. Each step indexes the next entry by the op and the entry:
+    in the rule's memo table while 2M <= 16, and in the rule itself above,
+    on int64 entries up to M = 29 and Python ints above. A batch of one
+    trial steps its entry as a Python int, one high-clock step at a time.
+    A fault XORs its cell at the start of its cycle.
 
     Every run ends with a per-trial ledger of signed units, read from
     ``products`` and the emitted planes: loaded = emitted + stored +
@@ -541,7 +521,7 @@ def engine_batch(
     if trace_path is not None and n_trials != 1:
         raise ValueError("a trace covers a batch of exactly one trial")
     _is_opposite(shift_direction)  # raises before the trace file opens
-    carry = (_PackedCarry if 2 * m <= _TABLE_MAX_BITS else _WideCarry)(m, n_trials)
+    carry = _Carry(m, n_trials)
     trace = None
     want_counts = check_conservation or trace_path is not None
     flips = _flips_by_cycle(fault_schedules, n_trials, n_cycles, 2 * m)
@@ -557,7 +537,9 @@ def engine_batch(
     with contextlib.ExitStack() as files:
         if trace_path is not None:
             trace = _Trace(files.enter_context(open(trace_path, "w", newline="")), lanes)
-        for c0 in range(0, n_cycles, chunk):
+        # a batch of no trials has nothing to step, and its empty chunks have
+        # no trial axis to reshape by
+        for c0 in range(0, n_cycles if n_trials else 0, chunk):
             c1 = min(c0 + chunk, n_cycles)
             n_c = c1 - c0
             block = products[:, :, c0:c1]

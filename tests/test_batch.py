@@ -135,6 +135,10 @@ def test_fault_schedule_edges():
     assert bits.min() == 0 and bits.max() == 7
     with pytest.raises(ValueError):
         draw_fault_schedule(rng, 8, 10, 1.5)
+    # True <= 1.0 would flip every bit, and None or a string would fail in <=
+    for p_flip in (True, False, np.True_, None, "0.5"):
+        with pytest.raises(ValueError, match="flip probability must be a real number"):
+            draw_fault_schedule(rng, 8, 10, p_flip)
 
 
 @pytest.mark.parametrize("n_bits,n_cycles", [(2.7, 10), (2, 10.9), (True, 10), (2, True)])
@@ -252,7 +256,7 @@ def test_engine_batch_multi_trial_stacking():
     rng = np.random.default_rng(23)
     trials, lanes, stream_len = 5, 3, 60
     products = rng.integers(-1, 2, size=(trials, lanes, stream_len)).astype(np.int8)
-    # the table stepper, and the wide one above 2M = 16
+    # entries stepped by the table, and by the rule above 2M = 16
     for carry_len in (2, 9):
         schedules = [
             draw_fault_schedule(src, 2 * carry_len, stream_len, 0.05)
@@ -279,7 +283,21 @@ def test_engine_batch_conservation_flag():
     engine_batch(products, 32, cc_enabled=False, check_conservation=True)
 
 
-# K in [1, 64]; M in [1, 10] spans both carry steppers (table while 2M <= 16)
+# the table (M = 3), the rule on int64 entries (M = 9) and on Python ints (M = 40)
+@pytest.mark.parametrize("carry_len", (3, 9, 40))
+@pytest.mark.parametrize("check", (False, True))
+def test_engine_batch_zero_trials(carry_len, check):
+    # like tree_batch, an empty batch gives empty per-trial arrays
+    products = np.zeros((1, 4, 30), dtype=np.int8)
+    one = engine_batch(products, carry_len, check_conservation=check)
+    none = engine_batch(products[:0], carry_len, check_conservation=check)
+    assert none.keys() == one.keys()
+    for key in one:
+        assert none[key].dtype == one[key].dtype, key
+        assert none[key].shape == (0,) + one[key].shape[1:], key
+
+
+# K in [1, 64]; M in [1, 10] spans both index sources (table while 2M <= 16)
 engine_configs = st.builds(
     ExperimentConfig,
     lanes=st.integers(1, 64),
@@ -330,12 +348,14 @@ def test_trace_matches_oracle_observer(tmp_path_factory, config, p_flip, seed, c
     lanes=st.integers(1, 8),
     p_flip=st.floats(0.0, 0.3),
     seed=st.integers(0, 2**32 - 1),
+    trials=st.sampled_from((1, 4)),
 )
 @settings(max_examples=30, deadline=None)
-def test_table_and_bit_array_steppers_agree(carry_len, lanes, p_flip, seed):
-    # the table stepper against the wide stepper, which a zero table width forces
+def test_table_and_bit_array_steppers_agree(carry_len, lanes, p_flip, seed, trials):
+    # entries stepped by the table against entries stepped by the rule, which
+    # a zero table width forces; one trial steps Python ints through each
     rng = np.random.default_rng(seed)
-    trials, stream_len = 4, 50
+    stream_len = 50
     products = rng.integers(-1, 2, size=(trials, lanes, stream_len)).astype(np.int8)
     faults = merge_fault_schedules(
         [
@@ -397,9 +417,10 @@ def test_fault_free_registers_hold_a_signed_count(m):
     assert seen == {(c, 0) for c in codes} | {(0, c) for c in codes}
 
 
-# the wide stepper's register dtype changes from uint64 to Python ints above 64
-# cells; a batch of one trial steps Python ints at every width
-@pytest.mark.parametrize("carry_len", (9, 32, 33, 64, 65))
+# the rule steps int64 entries up to M = 29 and Python ints from M = 30, whose
+# popcount reads 64-bit words; a batch of one trial steps Python ints at every
+# width
+@pytest.mark.parametrize("carry_len", (9, 29, 30, 32, 33, 64, 65))
 @pytest.mark.parametrize("n_trials", (1, 3))
 def test_wide_engine_matches_scalar_under_faults(carry_len, n_trials):
     config = ExperimentConfig(
