@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import _check_ledger
+from .batch import _check_ledger, _saturate
 from .convert import sm_multiply_bit, sm_to_tlb_bit, tlb_to_sm_bit
 from .streams import TlbStream, _integer, ternary_values
 
@@ -56,12 +56,6 @@ def tlb_multiply(x, y):
     if x.length != y.length:
         raise ValueError("multiplier input streams must have equal length")
     return TlbStream(*tlb_multiply_bit(x.pos.bits, x.neg.bits, y.pos.bits, y.neg.bits))
-
-
-def _saturate(count, capacity):
-    """An out-of-range ``count`` saturated at +-``capacity``, and the units removed."""
-    kept = capacity if count > 0 else -capacity
-    return kept, count - kept
 
 
 def add_ternary(x, y, capacity):

@@ -19,7 +19,7 @@ lane products come from ``batch.encode_tlb_products``, the one lane-product
 stage of both designs, which gives the SM multipliers' outputs bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .batch import _one_trial_faults, encode_tlb_products, tree_batch
 from .convert import sm_multiply_bit
@@ -66,7 +66,6 @@ def run_tree_inner_product(x, y, config, rng, fault_schedule=None):
     out = tree_batch(products[None], config.counter_width, _one_trial_faults(fault_schedule))
     z = out["emitted"][0]
     diagnostics = TreeDiagnostics(
-        saturation_events=int(out["saturation_events"][0]),
-        residual_sum=int(out["residual_sum"][0]),
+        **{f.name: int(out[f.name][0]) for f in fields(TreeDiagnostics)}
     )
     return SmStream(z < 0, z != 0), diagnostics

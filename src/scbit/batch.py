@@ -16,7 +16,8 @@ canceler sweep (``canceler_batch``), the accumulation rule of the carry
 registers (``_accumulate``, which ``_Rule`` indexes like a table and
 ``_carry_table`` memoizes for narrow registers), the counter node update
 (``tree_batch``, in its batch and its one-trial form), the saturating
-clamp of the tree's batch form (``_clamp``), the split of a fault
+clamp of the tree's batch form (``_clamp``) and of a Python-int count in
+the one-trial tree and the adder (``_saturate``), the split of a fault
 schedule by cycle (``_flips_by_cycle``), the XOR of a fault into storage
 (``_toggle``) and the sign extension of a faulted tree counter
 (``_toggle_counters``). The test suite checks the kernels bit for bit
@@ -403,6 +404,12 @@ def _check_ledger(loaded, ledger):
         raise _unbalanced("end of run", bad, loaded[bad], ledger[bad])
 
 
+def _saturate(count, capacity):
+    """An out-of-range ``count`` saturated at +-``capacity``, and the units removed."""
+    kept = capacity if count > 0 else -capacity
+    return kept, count - kept
+
+
 def _check_steps(deliveries, loaded, flags, stored, faulted, stored_before, first_cycle):
     """Conservation of signed units after every step and emission of a chunk,
     counted from ``stored_before``, the signed carry count at its start.
@@ -681,10 +688,9 @@ def tree_batch(products, counter_width, fault_schedules=None):
                 z = (t > 0) - (t < 0)  # clamp(t, -1, 1) of an integer
                 carry = t - z
                 if not -c_max <= carry <= c_max:
-                    kept = c_max if carry > 0 else -c_max
+                    carry, lost = _saturate(carry, c_max)
                     n_saturations += 1
-                    n_removed += carry - kept
-                    carry = kept
+                    n_removed += lost
                 stored[node] = carry
                 values.append(z)
             emitted[0, cycle] = values[-1]

@@ -24,6 +24,7 @@ trials are chunked across workers.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import numbers
@@ -174,9 +175,7 @@ class ExperimentConfig:
         return self.carry_len if self.design == "novel" else self.counter_width
 
     def replace(self, **updates):
-        data = asdict(self)
-        data.update(updates)
-        return ExperimentConfig(**data)
+        return dataclasses.replace(self, **updates)
 
     @classmethod
     def from_dict(cls, data):
@@ -334,11 +333,7 @@ def run_point(cfg):
     else:
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_simulate_trials, payloads))
-    estimates = np.concatenate([r[0] for r in results])
-    truths = np.concatenate([r[1] for r in results])
-    overflow = np.concatenate([r[2] for r in results])
-    cc = np.concatenate([r[3] for r in results])
-    return estimates, truths, overflow, cc
+    return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
 def _point_row(cfg, estimates, truths, overflow, cc):
@@ -380,10 +375,9 @@ class SweepResult:
 
 
 def _format_cell(value):
+    # csv.writer already writes a float as its repr, so only bools need a rule
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return value
 
 
@@ -409,19 +403,9 @@ def run_accuracy_sweep(designs, lanes_values, capacities, cfg):
     minimal = {}
     for design in designs:
         for lanes in lanes_values:
-            matching = [
-                r for r in rows if r["design"] == design and r["K"] == lanes
-            ]
-            key = f"{design}/K={lanes}"
-            minimal[key] = {
-                str(thr): next(
-                    (
-                        r["M_or_B"]
-                        for r in sorted(matching, key=lambda r: r["M_or_B"])
-                        if r["rmse"] <= thr
-                    ),
-                    None,
-                )
+            matching = [r for r in rows if r["design"] == design and r["K"] == lanes]
+            minimal[f"{design}/K={lanes}"] = {
+                str(thr): min((r["M_or_B"] for r in matching if r["rmse"] <= thr), default=None)
                 for thr in RMSE_THRESHOLDS
             }
 
@@ -472,25 +456,21 @@ def run_canceler_experiment(lanes_values, config):
         hold_pos = (rng.uniform((trials, lanes)) < 0.5).astype(np.int8)
         hold_neg = (rng.uniform((trials, lanes)) < 0.5).astype(np.int8)
         for direction in ("opposite", "same"):
-            del_p, del_n, _ = canceler_batch(
-                hold_pos, hold_neg, shift_direction=direction, cc_enabled=cc_enabled
-            )
-            per_trial_p = del_p.mean(axis=1)
-            per_trial_n = del_n.mean(axis=1)
+            out = canceler_batch(hold_pos, hold_neg, direction, cc_enabled=cc_enabled)
+            # per-trial delivery rates, one row for the +1 line and one for the -1 line
+            per_trial = np.stack(out[:2]).mean(axis=2)
+            p_p, p_n = per_trial.mean(axis=1)
+            se_p, se_n = per_trial.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else (0, 0)
             rows.append(
                 {
                     "direction": direction,
                     "K": lanes,
                     "trials": trials,
                     "cc_enabled": cc_enabled,
-                    "p_p": float(per_trial_p.mean()),
-                    "p_n": float(per_trial_n.mean()),
-                    "se_p": float(per_trial_p.std(ddof=1) / math.sqrt(trials))
-                    if trials > 1
-                    else 0.0,
-                    "se_n": float(per_trial_n.std(ddof=1) / math.sqrt(trials))
-                    if trials > 1
-                    else 0.0,
+                    "p_p": float(p_p),
+                    "p_n": float(p_n),
+                    "se_p": float(se_p),
+                    "se_n": float(se_n),
                     "seed": seed,
                 }
             )

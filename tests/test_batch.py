@@ -635,17 +635,23 @@ def clamp_unreported(pending, c_max, out):
     return np.zeros_like(pending)
 
 
-def test_tree_ledger_catches_lost_units(monkeypatch):
-    products = np.ones((2, 4, 20), dtype=np.int8)
-    tree_batch(products, 2)
-    monkeypatch.setattr(batch, "_clamp", clamp_unreported)
-    with pytest.raises(RuntimeError, match="at end of run"):
-        tree_batch(products, 2)
-
-
 def saturate_unreported(count, capacity):
     """A saturation that stops reporting the units it removes."""
     return (capacity if count > 0 else -capacity), 0
+
+
+@pytest.mark.parametrize("trials", (1, 2))
+def test_tree_ledger_catches_lost_units(monkeypatch, trials):
+    # one trial saturates its Python-int counters through _saturate, a batch
+    # through _clamp
+    products = np.ones((trials, 4, 20), dtype=np.int8)
+    assert tree_batch(products, 2)["saturation_events"].all()
+    if trials == 1:
+        monkeypatch.setattr(batch, "_saturate", saturate_unreported)
+    else:
+        monkeypatch.setattr(batch, "_clamp", clamp_unreported)
+    with pytest.raises(RuntimeError, match="at end of run"):
+        tree_batch(products, 2)
 
 
 def test_adder_ledger_catches_lost_units(monkeypatch):

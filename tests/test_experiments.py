@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -265,6 +266,20 @@ def test_accuracy_sweep_grid_and_meta():
     assert "novel/K=4" in sweep.meta["minimal_capacity"]
 
 
+def test_minimal_capacity_is_smallest_meeting_each_threshold(tmp_path):
+    # capacities listed unsorted: 6 is the first listed to meet 0.05, 4 the
+    # smallest, and none meets 0.02
+    cfg = ExperimentConfig(stream_len=400, trials=12, seed=5)
+    sweep = run_accuracy_sweep(["novel"], [16], [6, 2, 4], cfg)
+    errors = {r["M_or_B"]: r["rmse"] for r in sweep.rows}
+    assert 0.02 < errors[6] <= 0.05 and 0.02 < errors[4] <= 0.05 < errors[2] <= 0.1
+    expected = {"0.1": 2, "0.05": 4, "0.02": None}
+    assert sweep.meta["minimal_capacity"] == {"novel/K=16": expected}
+    sweep.write_meta(tmp_path / "meta.json")
+    written = json.loads((tmp_path / "meta.json").read_text())
+    assert written["minimal_capacity"]["novel/K=16"] == expected
+
+
 def test_accuracy_capacity_monotone():
     # tiny carry storage saturates constantly and must lose clearly
     cfg = ExperimentConfig(lanes=16, stream_len=2000, trials=40, seed=4)
@@ -318,6 +333,49 @@ def test_sweep_csv_byte_identical(tmp_path):
     )
     header = paths[0].read_text().splitlines()[0]
     assert header == ",".join(ACCURACY_COLUMNS)
+
+
+def _written_digests(sweep, tmp_path):
+    """sha256 of the CSV and the meta.json bytes a sweep writes."""
+    paths = tmp_path / "sweep.csv", tmp_path / "sweep.meta.json"
+    sweep.write_csv(paths[0])
+    sweep.write_meta(paths[1])
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+
+
+# any change to a statistic, its float formatting or the metadata shows here
+ACCURACY_SWEEP_SHA256 = (
+    "fd808337ab880a39f1eb1c3daedb01b942acc7c6c4e229c378b956a2ba4bb941",
+    "33a1e28fe30890191c6704e1ea0f82863a77129dd9d0d9488247bb4fca2dbd22",
+)
+CANCELER_SHA256 = {
+    (50, True): (
+        "ee53a5b5dc6bc359447509052da3c0d068da38fb7b1e369d30bc8261e080839b",
+        "0be87dac44a5bd19dd1583689b1d37526c5972f59cfebe6bb9bb4edab265e791",
+    ),
+    (50, False): (
+        "324ec0388942aa09e43005c4c8352c7543522a08e548f6a1c67eedce1d84b367",
+        "43df47585aa435f11bfd905c1c38f9a8567405b8152c241b5312c821ef86b269",
+    ),
+    # one trial: no standard error, so se_p = se_n = 0.0
+    (1, True): (
+        "68e0a66be3e4779478d023ef4c682ee35ffaf0a917f9ad8be3a40e1c2caef231",
+        "02b8a360ee1fd6929317a7a70da428523282f34366dafaa244b573e18ca057db",
+    ),
+}
+
+
+def test_accuracy_sweep_bytes_pinned(tmp_path):
+    cfg = ExperimentConfig(stream_len=300, trials=12, seed=5)
+    sweep = run_accuracy_sweep(["novel", "baseline"], [4], [2, 3, 4], cfg)
+    assert _written_digests(sweep, tmp_path) == ACCURACY_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("trials, cc_enabled", sorted(CANCELER_SHA256))
+def test_canceler_bytes_pinned(tmp_path, trials, cc_enabled):
+    cfg = ExperimentConfig(trials=trials, seed=7, cc_enabled=cc_enabled)
+    sweep = run_canceler_experiment([1, 3, 8], cfg)
+    assert _written_digests(sweep, tmp_path) == CANCELER_SHA256[trials, cc_enabled]
 
 
 # -- shift-direction experiment --------------------------------------------------
