@@ -14,7 +14,6 @@ signed count; ``nonscaled_add`` runs it on two TLB streams, and
 ``tests/oracles.py`` keeps the register-level model it is checked against.
 """
 
-import csv
 import operator
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .batch import _check_ledger, _saturate
 from .convert import sm_multiply_bit, sm_to_tlb_bit, tlb_to_sm_bit
-from .streams import TlbStream, _integer, ternary_values
+from .streams import TlbStream, _integer, _write_rows, ternary_values
 
 __all__ = [
     "AdderDiagnostics",
@@ -107,13 +106,13 @@ def nonscaled_add(x, y, capacity, trace_path=None):
     yt = ternary_values(y).tolist()
     z, stored, events = add_ternary(xt, yt, capacity)
     if trace_path is not None:
+        counts = np.array(stored, dtype=np.int64)
+        rows = np.column_stack([
+            np.arange(1, len(z) + 1), xt, yt, z,
+            np.maximum(counts, 0), np.maximum(-counts, 0), events,
+        ])
         with open(trace_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("l", "x", "y", "z", "pc_count", "nc_count", "overflows"))
-            writer.writerows(zip(
-                range(1, len(z) + 1), xt, yt, z,
-                (max(c, 0) for c in stored), (max(-c, 0) for c in stored), events,
-            ))
+            _write_rows(handle, rows, ("l", "x", "y", "z", "pc_count", "nc_count", "overflows"))
     residual = stored[-1]
     diagnostics = AdderDiagnostics(
         overflow_events=events[-1],

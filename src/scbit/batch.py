@@ -26,13 +26,12 @@ injected faults.
 """
 
 import contextlib
-import csv
 import functools
 import numbers
 
 import numpy as np
 
-from .streams import TlbStream, _integer, _is_integer, encode_tlb
+from .streams import TlbStream, _integer, _is_integer, _write_rows, encode_tlb
 
 # unused here, but perfbench/tracer.py wraps them by these names
 from .streams import encode_sm, ternary_values  # noqa: F401
@@ -448,8 +447,8 @@ class _Trace:
     """
 
     def __init__(self, handle, lanes):
-        self.writer = csv.writer(handle)
-        self.writer.writerow(TRACE_COLUMNS)
+        self.handle = handle
+        _write_rows(handle, np.zeros((0, len(TRACE_COLUMNS)), dtype=np.int64), TRACE_COLUMNS)
         self.lanes = lanes
         self.counts = np.zeros((2, 1), dtype=np.int64)  # after the last emission
         self.out = np.zeros((2, 1), dtype=np.int64)  # (zp, zn) of the last emission
@@ -482,7 +481,7 @@ class _Trace:
         rows[:, k, 6:8] = emitted.T
         rows[:, :k, 8] = cc - cc_steps
         rows[:, k, 8] = cc[:, -1]
-        self.writer.writerows(rows.reshape(-1, len(TRACE_COLUMNS)).tolist())
+        _write_rows(self.handle, rows.reshape(-1, len(TRACE_COLUMNS)))
         self.counts, self.out, self.cc = after_emit[:, -1:], emitted[:, -1:], int(cc[-1, -1])
 
 

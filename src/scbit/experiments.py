@@ -29,7 +29,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -85,6 +84,10 @@ CANCELER_COLUMNS = (
     "se_n",
     "seed",
 )
+
+# trial x lane cells per block of the shift-direction experiment: its
+# transient arrays stay this size at any trial count
+_CANCELER_BLOCK_CELLS = 1 << 18
 
 # accuracy targets used for the minimal-capacity summary
 RMSE_THRESHOLDS = (0.1, 0.05, 0.02)
@@ -331,6 +334,9 @@ def run_point(cfg):
     if len(payloads) == 1:
         results = [_simulate_trials(payloads[0])]
     else:
+        # imported here: the pool's modules cost every process that never starts one
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_simulate_trials, payloads))
     return tuple(np.concatenate(parts) for parts in zip(*results))
@@ -445,7 +451,9 @@ def run_canceler_experiment(lanes_values, config):
     steps. Rows report the per-direction estimates with their Monte Carlo
     standard errors. ``config`` is an ``ExperimentConfig`` that supplies
     ``trials``, ``seed`` and ``cc_enabled``; every lane count is checked as
-    its ``lanes`` before the first one runs.
+    its ``lanes`` before the first one runs. Trials run in blocks of
+    ``_CANCELER_BLOCK_CELLS`` trial x lane cells, so the two int8 hold planes
+    and one rate per trial and line are all that grows with ``trials``.
     """
     trials, seed, cc_enabled = config.trials, config.seed, config.cc_enabled
     lanes_values = [int(config.replace(lanes=lanes).lanes) for lanes in lanes_values]
@@ -453,12 +461,18 @@ def run_canceler_experiment(lanes_values, config):
     for lanes in lanes_values:
         point = np.random.SeedSequence((seed, 2, lanes, trials))
         rng = RandomSource(_sequence=point)
-        hold_pos = (rng.uniform((trials, lanes)) < 0.5).astype(np.int8)
-        hold_neg = (rng.uniform((trials, lanes)) < 0.5).astype(np.int8)
+        block = max(1, _CANCELER_BLOCK_CELLS // lanes)
+        starts = range(0, trials, block)
+        hold = np.empty((2, trials, lanes), dtype=np.int8)
+        for plane in hold:  # every +1 hold bit is drawn before the first -1 bit
+            for lo in starts:
+                plane[lo:lo + block] = rng.uniform(plane[lo:lo + block].shape) < 0.5
+        per_trial = np.empty((2, trials))
         for direction in ("opposite", "same"):
-            out = canceler_batch(hold_pos, hold_neg, direction, cc_enabled=cc_enabled)
-            # per-trial delivery rates, one row for the +1 line and one for the -1 line
-            per_trial = np.stack(out[:2]).mean(axis=2)
+            for lo in starts:
+                out = canceler_batch(*hold[:, lo:lo + block], direction, cc_enabled=cc_enabled)
+                # per-trial delivery rates, one row for the +1 line and one for the -1 line
+                per_trial[:, lo:lo + block] = np.stack(out[:2]).mean(axis=2)
             p_p, p_n = per_trial.mean(axis=1)
             se_p, se_n = per_trial.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else (0, 0)
             rows.append(

@@ -24,6 +24,7 @@ in the ``l`` column of trace CSV files.
 """
 
 import csv
+import itertools
 import numbers
 from typing import Callable, NamedTuple
 
@@ -283,15 +284,32 @@ FORMATS = {
 }
 
 
+# rows per formatting operation of ``_write_rows``
+_ROW_BLOCK = 4096
+
+
+def _write_rows(handle, rows, header=None):
+    """Write a 2-d integer array as CSV rows, after ``header`` if given.
+
+    The bytes are those ``csv.writer`` writes for the same cells. Each block
+    of ``_ROW_BLOCK`` rows is formatted by one ``%`` operation, so only one
+    block at a time exists as Python ints.
+    """
+    if header is not None:
+        handle.write(",".join(header) + "\r\n")
+    line = ",".join(["%d"] * rows.shape[1]) + "\r\n"
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        block = rows[lo:lo + _ROW_BLOCK]
+        handle.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_stream_csv(stream, path):
     """Dump a stream to a trace CSV (one row per position, 1-based l)."""
     columns = {f.stream: f.columns for f in FORMATS.values()}[type(stream)]
     lines = stream._lines() if isinstance(stream, _TwoLineStream) else (stream,)
     rows = np.column_stack([np.arange(1, stream.length + 1), *(b.bits for b in lines)])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows.tolist())
+        _write_rows(fh, rows, columns)
 
 
 def read_stream_csv(path):
@@ -311,17 +329,40 @@ def read_stream_csv(path):
     name = next((n for n, f in FORMATS.items() if f.columns == header), None)
     if name is None:
         raise ValueError(f"unrecognized stream file header in {path}: {header}")
-    rows = []
-    for line, row in body:
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
-            rows.append([int(v) for v in row])
-            if not set(rows[-1][1:]) <= {0, 1}:
-                raise ValueError("bit stream symbols must be 0 or 1")
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {line}: {exc}") from exc
-    data = np.array(rows, dtype=np.int64)
+    data = _cells([row for _, row in body], len(header))
+    if data is None:
+        _raise_row_error(path, len(header), body)
     if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
         raise ValueError(f"{path}: the l column must count 1..{len(data)} in order")
     return name, FORMATS[name].stream(*data[:, 1:].T)
+
+
+def _cells(rows, width):
+    """The (rows, width) int64 cells of a stream file's body, all checked at
+    once; None if a row has another field count, a cell is not an integer
+    that fits int64, or a bit is not 0 or 1."""
+    if (np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) != width).any():
+        return None
+    try:
+        cells = np.array(list(map(int, itertools.chain.from_iterable(rows))), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    cells = cells.reshape(len(rows), width)
+    bits = cells[:, 1:]
+    return cells if ((bits == 0) | (bits == 1)).all() else None
+
+
+def _raise_row_error(path, width, body):
+    """Raise the ValueError of the first bad row in ``body``'s (line, row)
+    pairs, naming the file and the line."""
+    for line, row in body:
+        try:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} fields, but the header has {width}")
+            values = [int(v) for v in row]
+            if not set(values[1:]) <= {0, 1}:
+                raise ValueError("bit stream symbols must be 0 or 1")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from exc
+    # every row is well formed, so an l cell is beyond int64
+    raise ValueError(f"{path}: the l column must count 1..{len(body)} in order")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -207,6 +208,16 @@ def test_adder_trace_csv(tmp_path):
     assert lines[0] == "l,x,y,z,pc_count,nc_count,overflows"
     assert len(lines) == 4
     assert lines[1].startswith("1,")
+
+
+def test_adder_trace_bytes_pinned(tmp_path):
+    # 10 000 rows: several blocks of formatted rows, the last partial
+    path = tmp_path / "adder.csv"
+    rng = np.random.default_rng(21)
+    x, y = (tlb_from_ternary(v) for v in rng.integers(-1, 2, (2, 10_000)))
+    nonscaled_add(x, y, 3, trace_path=path)
+    digest = "50a1d8196a114e150c2415490b7886bdc0c97808b35fd78f343ce856ff748650"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @given(

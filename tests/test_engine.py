@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from oracles import PAIR, EngineStateError, InnerProductEngine, carry_cancel, drive_cycle
 from scbit import ExperimentConfig, RandomSource, decode_tlb, run_inner_product
+from scbit.batch import draw_fault_schedule
 
 
 def make_engine(lanes=2, carry_len=4, stream_len=16, **kw):
@@ -224,6 +227,25 @@ def test_run_trace_csv(tmp_path):
     assert lines[0] == "l,substep,ps_front,ns_front,pc_count,nc_count,zp,zn,cc_cancellations"
     # K + 1 rows per cycle
     assert len(lines) == 1 + 3 * (2 + 1)
+
+
+# K=16, L=5000: 85 000 trace rows over three engine chunks of cycles and
+# many blocks of formatted rows, the last of each partial
+TRACE_SHA256 = {
+    0.0: "ae93f51589e9cb876db858427908305eeb1c293fc299f561f8b7e868da10e8d9",
+    0.001: "cf891e3d3eb41897fa842e2c92d36d281963b105d97bf9cf0cc8aa4747500521",
+}
+
+
+@pytest.mark.parametrize("p_flip", sorted(TRACE_SHA256))
+def test_run_trace_bytes_pinned(tmp_path, p_flip):
+    path = tmp_path / "engine.csv"
+    config = ExperimentConfig(lanes=16, carry_len=6, stream_len=5000)
+    rng = np.random.default_rng(12)
+    x, y = rng.uniform(-1, 1, (2, 16)) / 4
+    schedule = draw_fault_schedule(RandomSource(4), 12, 5000, p_flip)
+    run_inner_product(x, y, config, RandomSource(8), zip(*schedule), trace_path=path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[p_flip]
 
 
 def test_run_fault_schedule_applied():

@@ -158,7 +158,7 @@ def test_run_point_workers_capped_by_usable_cpus(monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = ExperimentConfig(**SMALL)
     capped = run_point(cfg.replace(jobs=16))
@@ -376,6 +376,31 @@ def test_canceler_bytes_pinned(tmp_path, trials, cc_enabled):
     cfg = ExperimentConfig(trials=trials, seed=7, cc_enabled=cc_enabled)
     sweep = run_canceler_experiment([1, 3, 8], cfg)
     assert _written_digests(sweep, tmp_path) == CANCELER_SHA256[trials, cc_enabled]
+
+
+# K=64 at 10 000 trials spans two full trial blocks and a partial one
+CANCELER_BLOCKS_SHA256 = {
+    True: (
+        "16f3f955f1dd3273eb557a99172f8fb09bdce45c9cf6c221f7fad829cde4bc24",
+        "d6236fed3e24f7a5229d1d91f72fea7ef5a4dd0bb0d0d2c6a6dfa7f91a560033",
+    ),
+    False: (
+        "732000989ccfc2cef17d9b744e4ec7f1de27d3596b004b8e43f7ff870350e5cb",
+        "e1ac2170c6086483cd0c3265369cfd3b01dc1594a62159a9e5a5af44aa3f6dd4",
+    ),
+}
+
+
+@pytest.mark.parametrize("cc_enabled", sorted(CANCELER_BLOCKS_SHA256))
+@pytest.mark.parametrize("block_cells", (None, 1000))
+def test_canceler_trial_blocks_bytes_pinned(tmp_path, monkeypatch, cc_enabled, block_cells):
+    # the bytes do not depend on the block size: 1000 cells give K=1 ten
+    # blocks and K=64 blocks of 15 trials
+    if block_cells is not None:
+        monkeypatch.setattr(experiments, "_CANCELER_BLOCK_CELLS", block_cells)
+    cfg = ExperimentConfig(trials=10_000, seed=4, cc_enabled=cc_enabled)
+    sweep = run_canceler_experiment([1, 64], cfg)
+    assert _written_digests(sweep, tmp_path) == CANCELER_BLOCKS_SHA256[cc_enabled]
 
 
 # -- shift-direction experiment --------------------------------------------------

@@ -318,6 +318,14 @@ def test_stream_csv_round_trip(tmp_path, stream, expected_format):
     assert first_row.startswith("1,")
 
 
+def test_stream_csv_l_beyond_int64_names_the_file(tmp_path):
+    # every row is well formed, so the l column is what is wrong
+    path = tmp_path / "stream.csv"
+    path.write_text(f"l,bit\n1,0\n{2**70},1\n")
+    with pytest.raises(ValueError, match="stream.csv: the l column must count 1..2"):
+        read_stream_csv(path)
+
+
 def _pinned_streams():
     bits = np.random.default_rng(8).integers(0, 2, (3, 200))
     return {
@@ -338,6 +346,15 @@ def _pinned_streams():
 def test_stream_csv_bytes_pinned(tmp_path, kind, digest):
     path = tmp_path / "stream.csv"
     write_stream_csv(_pinned_streams()[kind], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_long_stream_csv_bytes_pinned(tmp_path):
+    # 10 000 rows: several blocks of formatted rows, the last partial
+    path = tmp_path / "stream.csv"
+    bits = np.random.default_rng(9).integers(0, 2, (2, 10_000))
+    write_stream_csv(TlbStream(*bits), path)
+    digest = "ed014293ae5a58e02afb034cb1f33136251e3cb2e28622fba2b3166e5f10f01a"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
