@@ -20,7 +20,8 @@ Reproducibility contract: identical configuration and seed produce
 byte-identical CSV output. Trials derive per-trial seed material from
 (seed, design, K, capacity, L) only, so a fault sweep at p_flip = 0
 reproduces the accuracy sweep exactly, and results do not depend on how
-trials are chunked across workers.
+trials are chunked across workers. A fault sweep therefore encodes each
+trial once and runs every p_flip of its grid on the same lane products.
 """
 
 import csv
@@ -256,46 +257,57 @@ def _draw_trial_vectors(rng, lanes, input_scale):
 
 
 def _simulate_trials(payload):
-    """Worker for one chunk of trials; pure function of its payload."""
-    cfg, trial_sequences = payload
+    """Worker for one chunk of trials; pure function of its payload.
+
+    Each trial's lane products are encoded once and every p_flip runs on
+    them. Returns one (estimates, truths, overflow, cc) tuple per p_flip.
+    """
+    cfg, p_flips, trial_sequences = payload
     n = len(trial_sequences)
     truths = np.zeros(n, dtype=np.float64)
     products = np.zeros((n, cfg.lanes, cfg.stream_len), dtype=np.int8)
     n_bits = 2 * cfg.capacity if cfg.design == "novel" else (cfg.lanes - 1) * cfg.capacity
-    schedules = []
+    fault_seqs = []
     for i, seq in enumerate(trial_sequences):
         vec_seq, enc_seq, fault_seq = seq.spawn(3)
         vec_rng = RandomSource(_sequence=vec_seq)
         x, y, z = _draw_trial_vectors(vec_rng, cfg.lanes, cfg.input_scale)
         truths[i] = z
         products[i] = encode_tlb_products(x, y, cfg.stream_len, RandomSource(_sequence=enc_seq))
-        if cfg.p_flip > 0.0:
-            fault_rng = RandomSource(_sequence=fault_seq)
-            schedules.append(draw_fault_schedule(fault_rng, n_bits, cfg.stream_len, cfg.p_flip))
-        else:
-            schedules.append(None)
-    faults = merge_fault_schedules(schedules) if cfg.p_flip > 0.0 else None
+        fault_seqs.append(fault_seq)
 
-    if cfg.design == "novel":
-        out = engine_batch(
-            products,
-            cfg.capacity,
-            cc_enabled=cfg.cc_enabled,
-            shift_direction=cfg.shift_direction,
-            fault_schedules=faults,
-        )
-        emitted = out["emitted_pos"].sum(axis=1, dtype=np.int64) - out[
-            "emitted_neg"
-        ].sum(axis=1, dtype=np.int64)
-        overflow = out["dropped_pos"] + out["dropped_neg"]
-        cc = out["cc_cancellations"]
-    else:
-        out = tree_batch(products, cfg.capacity, fault_schedules=faults)
-        emitted = out["emitted"].sum(axis=1, dtype=np.int64)
-        overflow = out["saturation_events"]
-        cc = np.zeros(n, dtype=np.int64)
-    estimates = emitted / cfg.stream_len
-    return estimates, truths, overflow, cc
+    results = []
+    for p_flip in p_flips:
+        # p = 0 passes None, as a lone fault-free point does, not an empty
+        # schedule; a fresh source per p draws the schedule a lone point would
+        faults = None
+        if p_flip > 0.0:
+            faults = merge_fault_schedules(
+                [
+                    draw_fault_schedule(RandomSource(_sequence=s), n_bits, cfg.stream_len, p_flip)
+                    for s in fault_seqs
+                ]
+            )
+        if cfg.design == "novel":
+            out = engine_batch(
+                products,
+                cfg.capacity,
+                cc_enabled=cfg.cc_enabled,
+                shift_direction=cfg.shift_direction,
+                fault_schedules=faults,
+            )
+            emitted = out["emitted_pos"].sum(axis=1, dtype=np.int64) - out[
+                "emitted_neg"
+            ].sum(axis=1, dtype=np.int64)
+            overflow = out["dropped_pos"] + out["dropped_neg"]
+            cc = out["cc_cancellations"]
+        else:
+            out = tree_batch(products, cfg.capacity, fault_schedules=faults)
+            emitted = out["emitted"].sum(axis=1, dtype=np.int64)
+            overflow = out["saturation_events"]
+            cc = np.zeros(n, dtype=np.int64)
+        results.append((emitted / cfg.stream_len, truths, overflow, cc))
+    return results
 
 
 def _usable_cpus():
@@ -314,20 +326,22 @@ def _runnable(cfg):
     return cfg
 
 
-def run_point(cfg):
-    """Run all trials of one operating point.
+def _run_points(cfg, p_flips):
+    """Run all trials of ``cfg``'s operating point at each p_flip in ``p_flips``.
 
-    Returns (estimates, truths, overflow_events, cc_cancellations), each a
-    per-trial array ordered by trial index regardless of ``jobs``. Trials
-    run in at most min(jobs, trials, usable CPUs) processes.
+    Returns one (estimates, truths, overflow_events, cc_cancellations) tuple
+    per p_flip, each array per trial and ordered by trial index regardless
+    of ``jobs``. Trials run in at most min(jobs, trials, usable CPUs)
+    processes; each encodes its trials once for the whole p grid.
     """
-    _runnable(cfg)
+    if not p_flips:  # an empty grid encodes no trial
+        return []
     point = _point_sequence(cfg.seed, cfg.design, cfg.lanes, cfg.capacity, cfg.stream_len)
     trial_sequences = point.spawn(cfg.trials)
     chunks = max(1, min(cfg.jobs, cfg.trials, _usable_cpus()))
     bounds = np.linspace(0, cfg.trials, chunks + 1, dtype=int)
     payloads = [
-        (cfg, trial_sequences[lo:hi])
+        (cfg, p_flips, trial_sequences[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
@@ -339,7 +353,17 @@ def run_point(cfg):
 
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_simulate_trials, payloads))
-    return tuple(np.concatenate(parts) for parts in zip(*results))
+    return [tuple(np.concatenate(parts) for parts in zip(*per_p)) for per_p in zip(*results)]
+
+
+def run_point(cfg):
+    """Run all trials of one operating point.
+
+    Returns (estimates, truths, overflow_events, cc_cancellations), each a
+    per-trial array ordered by trial index regardless of ``jobs``. Trials
+    run in at most min(jobs, trials, usable CPUs) processes.
+    """
+    return _run_points(_runnable(cfg), [cfg.p_flip])[0]
 
 
 def _point_row(cfg, estimates, truths, overflow, cc):
@@ -430,9 +454,13 @@ def run_accuracy_sweep(designs, lanes_values, capacities, cfg):
 
 
 def run_fault_sweep(p_flips, cfg):
-    """Sweep the bit-flip probability at a fixed operating point, every p checked first."""
+    """Sweep the bit-flip probability at a fixed operating point, every p checked first.
+
+    Each trial is encoded once, and every p runs on the same lane products.
+    """
     points = [_runnable(cfg.replace(p_flip=p)) for p in p_flips]
-    rows = [_point_row(point, *run_point(point)) for point in points]
+    results = _run_points(cfg, [point.p_flip for point in points])
+    rows = [_point_row(point, *result) for point, result in zip(points, results)]
     meta = {
         "sweep": "fault",
         "config": cfg.to_dict(),

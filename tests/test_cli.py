@@ -373,10 +373,10 @@ def test_sweep_unwritable_output_io_error(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ("accuracy", "fault"))
 def test_sweep_checks_output_directory_before_running(tmp_path, capsys, monkeypatch, kind):
     # found only at the write, a bad --out would cost the whole sweep
-    def run_point(cfg):
+    def simulate_trials(payload):
         raise AssertionError("a point ran")
 
-    monkeypatch.setattr(experiments, "run_point", run_point)
+    monkeypatch.setattr(experiments, "_simulate_trials", simulate_trials)
     out = tmp_path / "missing" / "f.csv"
     code, stdout, err = run_cli(
         capsys, "sweep", kind, "--lanes", "16", "--len", "2000", "--trials", "200",

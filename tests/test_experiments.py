@@ -182,7 +182,7 @@ def test_both_designs_encode_through_one_encoder(monkeypatch, design):
 
         monkeypatch.setattr(experiments, name, counted)
     cfg = ExperimentConfig(design=design, lanes=4, stream_len=16, trials=3, p_flip=0.1)
-    experiments._simulate_trials((cfg, np.random.SeedSequence(0).spawn(cfg.trials)))
+    experiments._simulate_trials((cfg, [cfg.p_flip], np.random.SeedSequence(0).spawn(cfg.trials)))
     assert calls == {"encode_tlb_products": cfg.trials, "encode_sm_products": 0}
 
 
@@ -251,6 +251,56 @@ def test_fault_sweep_rows_and_injection():
     assert [r["p_flip"] for r in sweep.rows] == [0.0, 0.05]
     assert sweep.columns == ACCURACY_COLUMNS
     assert sweep.rows[1]["rmse"] >= 0.0
+
+
+FAULT_GRID = [0.0, 0.01, 0.05]
+
+
+@pytest.mark.parametrize("p_flips", ([], [0.0], FAULT_GRID))
+@pytest.mark.parametrize("design", ["novel", "baseline"])
+def test_fault_sweep_encodes_each_trial_once(monkeypatch, design, p_flips):
+    calls = []
+    encode = experiments.encode_tlb_products
+
+    def counted(*args):
+        calls.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(experiments, "encode_tlb_products", counted)
+    cfg = ExperimentConfig(design=design, lanes=4, stream_len=16, trials=5)
+    run_fault_sweep(p_flips, cfg)
+    assert len(calls) == (cfg.trials if p_flips else 0)
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("design", ["novel", "baseline"])
+def test_fault_sweep_rows_equal_lone_points(monkeypatch, design, jobs):
+    # two workers on any host, so 7 trials split 3 + 4
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(design=design, lanes=4, carry_len=3, counter_width=3,
+                           stream_len=200, trials=7, seed=3, jobs=jobs)
+    sweep = run_fault_sweep(FAULT_GRID, cfg)
+    for row, p in zip(sweep.rows, FAULT_GRID, strict=True):
+        point = cfg.replace(p_flip=p)
+        assert row == experiments._point_row(point, *run_point(point))
+
+
+@pytest.mark.parametrize("design, kernel", [("novel", "engine_batch"), ("baseline", "tree_batch")])
+def test_fault_sweep_runs_every_p_on_one_product_array(monkeypatch, design, kernel):
+    seen = []
+    run = getattr(experiments, kernel)
+
+    def spy(products, *args, fault_schedules, **kwargs):
+        seen.append((products.tobytes(), fault_schedules))
+        return run(products, *args, fault_schedules=fault_schedules, **kwargs)
+
+    monkeypatch.setattr(experiments, kernel, spy)
+    cfg = ExperimentConfig(design=design, lanes=4, stream_len=64, trials=3, seed=2)
+    run_fault_sweep(FAULT_GRID, cfg)
+    assert len(seen) == len(FAULT_GRID)
+    assert len({products for products, _ in seen}) == 1
+    assert seen[0][1] is None
+    assert all(faults is not None for _, faults in seen[1:])
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -369,6 +419,38 @@ def test_accuracy_sweep_bytes_pinned(tmp_path):
     cfg = ExperimentConfig(stream_len=300, trials=12, seed=5)
     sweep = run_accuracy_sweep(["novel", "baseline"], [4], [2, 3, 4], cfg)
     assert _written_digests(sweep, tmp_path) == ACCURACY_SWEEP_SHA256
+
+
+# recorded before the sweep encoded each trial once for its whole p grid;
+# the CSV does not depend on jobs, the meta records it
+FAULT_SWEEP_SHA256 = {
+    ("novel", 1): (
+        "94ab63a78dfeddfa063e8650045c8e73b713f24838cf2f6f699c878e51fe3738",
+        "fda307c7443f8bab4f7ba1457760c08730cf06ca7af8e2ecf4c8c359a2256d26",
+    ),
+    ("novel", 2): (
+        "94ab63a78dfeddfa063e8650045c8e73b713f24838cf2f6f699c878e51fe3738",
+        "18c9926e81c376606610378d13193f7b6f29411ba43ecd375b2c5edbf70fb783",
+    ),
+    ("baseline", 1): (
+        "652414ff9f7466d3181fd1ca0a9df2ba67a1614d7f2d181f6713fd7b08249e87",
+        "ad6079230b0c22787771079d0eb1d27b5b9503b24f0d19f77a5b1e03abfcc978",
+    ),
+    ("baseline", 2): (
+        "652414ff9f7466d3181fd1ca0a9df2ba67a1614d7f2d181f6713fd7b08249e87",
+        "beb3834931d6b2d528e80af0e8c9a99d5b6d5561dd220dd6c4fd128f3673138c",
+    ),
+}
+
+
+@pytest.mark.parametrize("design, jobs", sorted(FAULT_SWEEP_SHA256))
+def test_fault_sweep_bytes_pinned(tmp_path, monkeypatch, design, jobs):
+    # two workers on any host, so 7 trials split 3 + 4
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(design=design, lanes=4, carry_len=3, counter_width=3,
+                           stream_len=300, trials=7, seed=9, jobs=jobs)
+    sweep = run_fault_sweep(FAULT_GRID, cfg)
+    assert _written_digests(sweep, tmp_path) == FAULT_SWEEP_SHA256[design, jobs]
 
 
 @pytest.mark.parametrize("trials, cc_enabled", sorted(CANCELER_SHA256))
