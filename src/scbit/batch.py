@@ -11,18 +11,18 @@ non-scaled adder adds one pair of streams, so its kernel is the Python-int
 stepper ``adder.add_ternary``.
 
 Each mechanism is written once: the lane products of both designs
-(``encode_tlb_products``, which is also ``encode_sm_products``), the
-canceler sweep (``canceler_batch``), the accumulation rule of the carry
-registers (``_accumulate``, which ``_Rule`` indexes like a table and
-``_carry_table`` memoizes for narrow registers), the counter node update
-(``tree_batch``, in its batch and its one-trial form), the saturating
-clamp of the tree's batch form (``_clamp``) and of a Python-int count in
-the one-trial tree and the adder (``_saturate``), the split of a fault
-schedule by cycle (``_flips_by_cycle``), the XOR of a fault into storage
-(``_toggle``) and the sign extension of a faulted tree counter
-(``_toggle_counters``). The test suite checks the kernels bit for bit
-against independent scalar oracles of the hardware, including under
-injected faults.
+(``encode_tlb_products``, which is also ``encode_sm_products``: it runs the
+stream encoders' comparator once per lane into one bit array and builds no
+stream object), the canceler sweep (``canceler_batch``), the accumulation
+rule of the carry registers (``_accumulate``, which ``_Rule`` indexes like a
+table and ``_carry_table`` memoizes for narrow registers), the counter node
+update (``tree_batch``, in its batch and its one-trial form), the saturating
+clamp of the tree's batch form (``_clamp``) and of a Python-int count in the
+one-trial tree and the adder (``_saturate``), the split of a fault schedule
+by cycle (``_flips_by_cycle``), the XOR of a fault into storage (``_toggle``)
+and the sign extension of a faulted tree counter (``_toggle_counters``).
+The test suite checks the kernels bit for bit against independent scalar
+oracles of the hardware, including under injected faults.
 """
 
 import contextlib
@@ -31,10 +31,10 @@ import numbers
 
 import numpy as np
 
-from .streams import TlbStream, _integer, _is_integer, _write_rows, encode_tlb
+from .streams import _check_value, _draw, _integer, _is_integer, _write_rows
 
 # unused here, but perfbench/tracer.py wraps them by these names
-from .streams import encode_sm, ternary_values  # noqa: F401
+from .streams import encode_sm, encode_tlb, ternary_values  # noqa: F401
 
 __all__ = [
     "encode_tlb_products",
@@ -99,17 +99,33 @@ def encode_tlb_products(x, y, stream_len, rng):
     the ternary symbols of the TLB streams of x[k] and y[k], drawn from child
     sources k and K + k of ``rng``.
 
-    ``encode_sm_products`` is this function: an SM lane draws its magnitude
-    from the same uniforms u and holds its sign constant, so its symbol is
-    sgn(v)·[u < |v|] as in TLB, and the SM multiplier gives the same product.
+    Lane i writes its comparator bits [u < |v|] into row i of one array.
+    ``encode_tlb`` would put them on its pos line for v >= 0 and on its neg
+    line otherwise, so ``TlbStream._ternary``, pos - neg, is sgn(v)·[u < |v|]:
+    one sign product over the array. ``encode_sm_products`` is this function:
+    an SM lane draws its magnitude from the same uniforms u and holds its sign
+    constant, so its symbol is sgn(v)·[u < |v|] too, and the SM multiplier
+    gives the same product.
+
+    The values and ``stream_len`` are checked before ``rng`` spawns, so a
+    rejected call leaves ``rng`` unspawned.
     """
     k = len(x)
     if k != len(y):
         raise ValueError("x and y must have the same number of lanes")
+    values = np.fromiter(map(float, [*x, *y]), np.float64, 2 * k)
+    magnitudes = np.abs(values)
+    outside = ~(magnitudes <= 1.0)
+    if outside.any():  # raises, naming the first such value
+        _check_value(values[outside.argmax()], "two-line bipolar")
+    stream_len = _integer(stream_len, "stream length")
     sources = rng.spawn(2 * k)
-    streams = [encode_tlb(float(v), stream_len, src) for v, src in zip([*x, *y], sources)]
-    lines = [np.array([getattr(s, n).bits for s in streams], np.uint8) for n in ("pos", "neg")]
-    terns = TlbStream._ternary(*(a.reshape(-1, stream_len).view(np.int8) for a in lines))
+    bits = np.empty((2 * k, stream_len), np.bool_)
+    samples = np.empty(stream_len)
+    for src, p, line in zip(sources, magnitudes, bits):
+        _draw(p, None, src, samples, line)
+    terns = bits.view(np.int8)
+    terns *= np.sign(values).astype(np.int8)[:, None]
     return terns[:k] * terns[k:]
 
 

@@ -122,9 +122,10 @@ class RandomSource:
             children.append(child)
         return children
 
-    def uniform(self, size=None):
-        """Uniform samples in [0, 1)."""
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Uniform samples in [0, 1), written into the float64 array ``out``
+        and returned, if it is given."""
+        return self._gen.random(size, out=out)
 
     def uniform_signed(self, size=None):
         """Uniform samples in [-1, 1)."""

@@ -61,12 +61,14 @@ def _as_bits(values):
 
 
 def _wrap_bits(bits):
-    """BitStream over a 0/1 uint8 vector this module just built.
+    """BitStream over a 0/1 bool or uint8 vector this module just built.
 
     The encoders build their lines from a comparison or a constant fill, so
     the lines are valid by construction: this skips ``_as_bits`` and its
-    copy, and only makes the vector read-only as ``_as_bits`` would.
+    copy, and only views the vector as uint8 and makes it read-only as
+    ``_as_bits`` would.
     """
+    bits = bits.view(np.uint8)
     bits.flags.writeable = False
     stream = object.__new__(BitStream)
     stream.bits = bits
@@ -81,9 +83,15 @@ def _wrap_pair(cls, first, second):
     return stream
 
 
-def _draw(p, length, rng):
-    """Comparator bits: 1 wherever the next uniform sample is below ``p``."""
-    return (rng.uniform(length) < p).view(np.uint8)
+def _draw(p, length, rng, samples=None, out=None):
+    """Comparator bits, as bools: 1 wherever the next uniform sample is below
+    ``p``.
+
+    Draws into the float64 buffer ``samples`` and writes the bits into the
+    bool array ``out`` where given; ``length`` is then None, since numpy reads
+    the size from a buffer faster than it checks a given size against it.
+    """
+    return np.less(rng.uniform(length, out=samples), p, out=out)
 
 
 class BitStream:
@@ -190,10 +198,15 @@ def _integer(value, what, low=1):
     return int(value)
 
 
+def _check_value(x, encoding, low=-1.0):
+    """ValueError unless ``low`` <= x <= 1; NaN fails too."""
+    if not low <= x <= 1.0:
+        raise ValueError(f"{encoding} value must be in [{low:g}, 1], got {x}")
+
+
 def encode_unipolar(x, length, rng):
     """Draw a Bernoulli(x) stream of the given length."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"unipolar value must be in [0, 1], got {x}")
+    _check_value(x, "unipolar", low=0.0)
     length = _integer(length, "stream length")
     return _wrap_bits(_draw(x, length, rng))
 
@@ -205,8 +218,7 @@ def decode_unipolar(stream):
 
 def encode_bipolar(x, length, rng):
     """Single-stream encoding of x in [-1, 1] via Bernoulli((x+1)/2)."""
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"bipolar value must be in [-1, 1], got {x}")
+    _check_value(x, "bipolar")
     length = _integer(length, "stream length")
     return _wrap_bits(_draw((x + 1.0) / 2.0, length, rng))
 
@@ -222,8 +234,7 @@ def encode_tlb(x, length, rng):
     Only the difference of the two lines matters, so the generator encodes
     |x| on the line matching the sign of x and zeros the other line.
     """
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"two-line bipolar value must be in [-1, 1], got {x}")
+    _check_value(x, "two-line bipolar")
     length = _integer(length, "stream length")
     magnitude = _draw(abs(x), length, rng)
     zero = np.zeros(length, dtype=np.uint8)
@@ -239,8 +250,7 @@ def decode_tlb(stream):
 
 def encode_sm(x, length, rng):
     """Signed-magnitude encoding: constant sign bit, Bernoulli(|x|) magnitude."""
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"signed-magnitude value must be in [-1, 1], got {x}")
+    _check_value(x, "signed-magnitude")
     length = _integer(length, "stream length")
     magnitude = _draw(abs(x), length, rng)
     sign = np.full(length, x < 0, dtype=np.uint8)

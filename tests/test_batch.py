@@ -90,6 +90,82 @@ def test_product_encoders_reject_lane_mismatch(encode):
         encode([0.1, 0.2, 0.3], [0.5], 8, RandomSource(0))
 
 
+@pytest.mark.parametrize(
+    "x,y,bad",
+    [
+        ([0.5, 1.5], [-2.0, 0.0], "1.5"),
+        ([0.5, -0.25], [0.0, -1.01], "-1.01"),
+        ([float("nan"), 3.0], [0.0, 0.0], "nan"),
+        ([0.5, 1.0], [float("inf"), float("nan")], "inf"),
+    ],
+    ids=("x", "y", "nan", "inf"),
+)
+def test_product_encoders_name_the_first_bad_value(x, y, bad):
+    # in [*x, *y] order, with the message of encode_tlb
+    with pytest.raises(ValueError) as err:
+        encode_tlb_products(x, y, 8, RandomSource(0))
+    assert str(err.value) == f"two-line bipolar value must be in [-1, 1], got {bad}"
+
+
+@pytest.mark.parametrize(
+    "stream_len", (0, 2.5, True, "8", np.float64(8.0)), ids=("0", "2.5", "True", "str", "float64")
+)
+def test_product_encoders_reject_bad_stream_lengths(stream_len):
+    with pytest.raises(ValueError) as err:
+        encode_tlb_products([0.5, -0.5], [0.25, 1.0], stream_len, RandomSource(0))
+    assert str(err.value) == f"stream length must be an integer >= 1, got {stream_len!r}"
+
+
+@pytest.mark.parametrize(
+    "x,y,stream_len",
+    [
+        ([0.1, 0.2, 0.3], [0.5], 8),
+        ([0.1, 2.0], [0.5, 0.5], 8),
+        ([0.1, 0.2], [0.5, float("nan")], 8),
+        ([0.1, 0.2], [0.5, 0.5], 0),
+        ([0.1, 0.2], [0.5, 0.5], 2.5),
+    ],
+    ids=("lanes", "range", "nan", "zero-length", "float-length"),
+)
+def test_rejected_product_calls_spawn_nothing(x, y, stream_len):
+    # every check runs before rng spawns its 2K children, so the next spawn
+    # starts at child 0 as on a fresh source
+    rng = RandomSource(7)
+    with pytest.raises(ValueError):
+        encode_tlb_products(x, y, stream_len, rng)
+    fresh = RandomSource(7).spawn(2)
+    for got, want in zip(rng.spawn(2), fresh):
+        assert got._gen.bit_generator.state == want._gen.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "x,y,digest",
+    [
+        (
+            [1, 0, -1, 1, 0],
+            [-1, 1, 1, 0, -1],
+            "02a2ba9b4d4b21274c42e68c967ffce05ec97a53af4b1d06302b142cab895675",
+        ),
+        (
+            np.array([0.3, -0.7, 0.05, -1.0, 0.999], np.float32),
+            np.array([-0.25, 0.6, 1.0, -0.1, 0.45], np.float32),
+            "011e4e2d5c580feae0b66d7067b01554d07d8169dc2b1f3d35174114595c26a4",
+        ),
+        (
+            [-0.0, 0.5, -0.0, -0.3, 0.0],
+            [-0.9, -0.0, 0.0, -0.0, 0.7],
+            "f3e31a9087bdb8d86b48222f70725579c5f188dfa03f30ad3f006eb081afc7bf",
+        ),
+    ],
+    ids=("int-lists", "float32", "negative-zero"),
+)
+def test_product_encoder_input_types_pinned(x, y, digest):
+    # each value reaches the comparator as float(v), as in one encode_tlb call per lane
+    out = encode_tlb_products(x, y, 257, RandomSource(31))
+    assert out.dtype == np.int8 and out.shape == (5, 257)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
 signed_unit = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
     st.floats(-1.0, 1.0, allow_nan=False),

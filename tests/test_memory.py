@@ -14,6 +14,7 @@ import numpy as np
 
 import scbit
 from scbit import ExperimentConfig, RandomSource, run_canceler_experiment, run_inner_product
+from scbit.batch import encode_tlb_products
 
 MB = 1 << 20
 
@@ -45,6 +46,15 @@ def test_trace_memory_does_not_grow_with_rows(tmp_path):
     trace = tmp_path / "trace.csv"
     peak = traced_peak(run_inner_product, x, y, config, RandomSource(1), trace_path=trace)
     assert peak < 9 * MB
+
+
+def test_lane_products_hold_one_bit_array():
+    # one (2K, L) array of comparator bits, signed in place (2.56 MB), one
+    # row of uniforms and the (K, L) products (1.28 MB); no per-lane stream
+    # objects or stacked copies of their lines
+    x, y = np.linspace(-1, 1, 64), np.linspace(0.9, -0.9, 64)
+    peak = traced_peak(encode_tlb_products, x, y, 20_000, RandomSource(3))
+    assert peak < 6 * MB
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -99,3 +99,14 @@ def test_root_draws_match_numpy_and_other_pool_sizes():
     ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
     np.testing.assert_array_equal(RandomSource(5).uniform(1000), ref.random(1000))
     assert_children_match(source(5, (1,), pool_size=8).spawn(3), 5, (1,), 0, pool_size=8)
+
+
+def test_uniform_into_a_buffer():
+    buffer = np.empty(300)
+    assert RandomSource(4).uniform(out=buffer) is buffer
+    np.testing.assert_array_equal(buffer, RandomSource(4).uniform(300))
+    sized = np.empty(300)
+    assert RandomSource(4).uniform(300, out=sized) is sized
+    np.testing.assert_array_equal(sized, buffer)
+    with pytest.raises(ValueError):
+        RandomSource(4).uniform(299, out=buffer)

@@ -103,6 +103,23 @@ def test_encode_domain_errors():
         encode_unipolar(0.5, 0, rng)
 
 
+@pytest.mark.parametrize(
+    "encode,bad,message",
+    [
+        (encode_unipolar, 1.1, "unipolar value must be in [0, 1], got 1.1"),
+        (encode_unipolar, float("nan"), "unipolar value must be in [0, 1], got nan"),
+        (encode_bipolar, -1.0001, "bipolar value must be in [-1, 1], got -1.0001"),
+        (encode_tlb, 2.0, "two-line bipolar value must be in [-1, 1], got 2.0"),
+        (encode_sm, -3.0, "signed-magnitude value must be in [-1, 1], got -3.0"),
+    ],
+    ids=("unipolar", "unipolar-nan", "bipolar", "tlb", "sm"),
+)
+def test_encode_domain_error_messages(encode, bad, message):
+    with pytest.raises(ValueError) as err:
+        encode(bad, 8, RandomSource(0))
+    assert str(err.value) == message
+
+
 # -- encoders draw exactly the comparator bits ------------------------------
 
 SIGNED_VALUES = (0.0, -0.0, 1.0, -1.0, 0.37, -0.58)

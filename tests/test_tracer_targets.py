@@ -64,8 +64,9 @@ def test_every_hook_argument_resolves():
 def test_product_encoders_call_the_traced_names(monkeypatch, products, encoder):
     # streams.encode_calls counts calls of batch.encode_tlb, looked up in
     # batch's globals at call time, and rng.sources_made counts what
-    # RandomSource.spawn returns: one encoder call per lane stream, one spawn(2K),
-    # for the SM lane products of the adder tree too
+    # RandomSource.spawn returns: the product encoders draw every lane's bits
+    # into one array, so they make one spawn(2K) and no encoder call, for the
+    # SM lane products of the adder tree too
     calls, spawns = [], []
     encode, spawn = getattr(batch, encoder), RandomSource.spawn
 
@@ -81,5 +82,5 @@ def test_product_encoders_call_the_traced_names(monkeypatch, products, encoder):
     monkeypatch.setattr(RandomSource, "spawn", counted_spawn)
     lanes = 5
     products([0.5] * lanes, [-0.25] * lanes, 16, RandomSource(0))
-    assert len(calls) == 2 * lanes
+    assert calls == []
     assert spawns == [2 * lanes]
