@@ -258,15 +258,14 @@ _TABLE_MAX_BITS = 16
 _CHUNK_ELEMENTS = 1 << 15
 
 
+_bit_count = np.frompyfunc(int.bit_count, 1, 1)
+
+
 def _popcount(values):
     """Set bits of every value as int64; entries above M = 29 are Python ints."""
     if values.dtype != object:
         return np.bitwise_count(values).astype(np.int64)
-    count = np.zeros(values.shape, dtype=np.int64)
-    while values.any():
-        count += np.bitwise_count((values & (1 << 64) - 1).astype(np.uint64))
-        values = values >> 64
-    return count
+    return _bit_count(values).astype(np.int64)
 
 
 def _accumulate(pc, nc, op, m):

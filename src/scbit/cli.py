@@ -186,7 +186,8 @@ def _pop_axes(data, kind):
     """
     axes = {}
     for key in _AXES[kind]:
-        if key not in data or (kind == "accuracy" and not isinstance(data[key], list)):
+        lanes_field = kind == "accuracy" and key == "lanes" and not isinstance(data.get(key), list)
+        if key not in data or lanes_field:
             continue
         values = data.pop(key)
         if not isinstance(values, list):

@@ -60,29 +60,6 @@ def _as_bits(values):
     return out
 
 
-def _wrap_bits(bits):
-    """BitStream over a 0/1 bool or uint8 vector this module just built.
-
-    The encoders build their lines from a comparison or a constant fill, so
-    the lines are valid by construction: this skips ``_as_bits`` and its
-    copy, and only views the vector as uint8 and makes it read-only as
-    ``_as_bits`` would.
-    """
-    bits = bits.view(np.uint8)
-    bits.flags.writeable = False
-    stream = object.__new__(BitStream)
-    stream.bits = bits
-    return stream
-
-
-def _wrap_pair(cls, first, second):
-    """TlbStream or SmStream over two generated lines of equal length."""
-    stream = object.__new__(cls)
-    for name, bits in zip(cls.__slots__, (first, second)):
-        setattr(stream, name, _wrap_bits(bits))
-    return stream
-
-
 def _draw(p, length, rng, samples=None, out=None):
     """Comparator bits, as bools: 1 wherever the next uniform sample is below
     ``p``.
@@ -183,8 +160,7 @@ class SmStream(_TwoLineStream):
 
 
 def _is_integer(value):
-    # exact int first: encoders call this per lane, and the ABC check is slow
-    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+    return isinstance(value, numbers.Integral) and type(value) is not bool
 
 
 def _integer(value, what, low=1):
@@ -208,7 +184,7 @@ def encode_unipolar(x, length, rng):
     """Draw a Bernoulli(x) stream of the given length."""
     _check_value(x, "unipolar", low=0.0)
     length = _integer(length, "stream length")
-    return _wrap_bits(_draw(x, length, rng))
+    return BitStream(_draw(x, length, rng))
 
 
 def decode_unipolar(stream):
@@ -220,7 +196,7 @@ def encode_bipolar(x, length, rng):
     """Single-stream encoding of x in [-1, 1] via Bernoulli((x+1)/2)."""
     _check_value(x, "bipolar")
     length = _integer(length, "stream length")
-    return _wrap_bits(_draw((x + 1.0) / 2.0, length, rng))
+    return BitStream(_draw((x + 1.0) / 2.0, length, rng))
 
 
 def decode_bipolar(stream):
@@ -239,8 +215,8 @@ def encode_tlb(x, length, rng):
     magnitude = _draw(abs(x), length, rng)
     zero = np.zeros(length, dtype=np.uint8)
     if x >= 0:
-        return _wrap_pair(TlbStream, magnitude, zero)
-    return _wrap_pair(TlbStream, zero, magnitude)
+        return TlbStream(magnitude, zero)
+    return TlbStream(zero, magnitude)
 
 
 def decode_tlb(stream):
@@ -254,7 +230,7 @@ def encode_sm(x, length, rng):
     length = _integer(length, "stream length")
     magnitude = _draw(abs(x), length, rng)
     sign = np.full(length, x < 0, dtype=np.uint8)
-    return _wrap_pair(SmStream, sign, magnitude)
+    return SmStream(sign, magnitude)
 
 
 def decode_sm(stream):

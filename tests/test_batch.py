@@ -493,8 +493,8 @@ def test_fault_free_registers_hold_a_signed_count(m):
     assert seen == {(c, 0) for c in codes} | {(0, c) for c in codes}
 
 
-# the rule steps int64 entries up to M = 29 and Python ints from M = 30, whose
-# popcount reads 64-bit words; a batch of one trial steps Python ints at every
+# the rule steps int64 entries up to M = 29 and Python ints from M = 30, which
+# are counted by int.bit_count; a batch of one trial steps Python ints at every
 # width
 @pytest.mark.parametrize("carry_len", (9, 29, 30, 32, 33, 64, 65))
 @pytest.mark.parametrize("n_trials", (1, 3))

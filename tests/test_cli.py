@@ -348,6 +348,19 @@ def test_sweep_fault_inline_overrides(tmp_path, capsys):
     assert meta["config"]["carry_len"] == 2
 
 
+def test_sweep_accuracy_scalar_lanes_is_the_field(tmp_path, capsys):
+    out = tmp_path / "acc.csv"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"designs": ["novel"], "capacities": [2], "lanes": 16,
+                                  "stream_len": 50, "trials": 2, "seed": 1}))
+    code, _, _ = run_cli(capsys, "sweep", "accuracy", "--config", str(config), "--out", str(out))
+    assert code == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].split(",")[1] == "16"  # K
+    assert json.loads((tmp_path / "acc.meta.json").read_text())["config"]["lanes"] == 16
+
+
 def test_sweep_bad_config_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -429,6 +442,11 @@ def test_config_aliases_write_the_same_bytes(tmp_path, capsys):
          "sets cc_enabled twice"),
         ("accuracy", {"direction": "same", "shift_direction": "same"},
          "sets shift_direction twice"),
+        # every sweep axis other than an accuracy sweep's lanes must be a list
+        ("accuracy", {"designs": "novel"}, "designs must be a list"),
+        ("accuracy", {"capacities": 4}, "capacities must be a list"),
+        ("fault", {"p_flips": 0.1}, "p_flips must be a list"),
+        ("canceler", {"lanes": 4}, "lanes must be a list"),
     ],
 )
 def test_sweep_config_errors_exit_2_on_one_line(tmp_path, capsys, kind, config, needle):
