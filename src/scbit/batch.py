@@ -31,6 +31,7 @@ import numbers
 
 import numpy as np
 
+from .rng import RandomSource
 from .streams import _check_value, _draw, _integer, _is_integer, _write_rows
 
 # unused here, but perfbench/tracer.py wraps them by these names
@@ -40,6 +41,7 @@ __all__ = [
     "encode_tlb_products",
     "encode_sm_products",
     "draw_fault_schedule",
+    "draw_fault_schedules",
     "merge_fault_schedules",
     "engine_batch",
     "tree_batch",
@@ -95,51 +97,70 @@ def _int8_in(values, low, what):
 
 
 def encode_tlb_products(x, y, stream_len, rng):
-    """(K, stream_len) int8 lane products of both designs: lane k multiplies
-    the ternary symbols of the TLB streams of x[k] and y[k], drawn from child
-    sources k and K + k of ``rng``.
+    """(..., K, stream_len) int8 lane products of both designs for x and y of
+    shape (..., K): lane k of each vector pair multiplies the ternary symbols
+    of the TLB streams of x[k] and y[k], drawn from children k and K + k of
+    that pair's source.
 
-    Lane i writes its comparator bits [u < |v|] into row i of one array.
-    ``encode_tlb`` would put them on its pos line for v >= 0 and on its neg
-    line otherwise, so ``TlbStream._ternary``, pos - neg, is sgn(v)·[u < |v|]:
-    one sign product over the array. ``encode_sm_products`` is this function:
-    an SM lane draws its magnitude from the same uniforms u and holds its sign
+    ``rng`` holds one source per vector pair: a ``RandomSource`` for 1-D x
+    and y, or a ``SeedBatch`` of shape ``x.shape[:-1]``. Every source
+    advances by 2K children, as ``spawn(2K)`` would number them, and each
+    lane draws from a generator built from its child's seed words, with no
+    source object per lane; the seed words are derived a block of lanes at
+    a time.
+
+    Lane i of a pair writes its comparator bits [u < |v|] into row i of one
+    (2K, L) array, reused from pair to pair. ``encode_tlb`` would put them
+    on its pos line for v >= 0 and on its neg line otherwise, so
+    ``TlbStream._ternary``, pos - neg, is sgn(v)·[u < |v|]: one sign product
+    over the array. ``encode_sm_products`` is this function: an SM lane
+    draws its magnitude from the same uniforms u and holds its sign
     constant, so its symbol is sgn(v)·[u < |v|] too, and the SM multiplier
     gives the same product.
 
-    The values and ``stream_len`` are checked before ``rng`` spawns, so a
-    rejected call leaves ``rng`` unspawned.
+    The values, ``stream_len`` and the sources are checked before any
+    source spawns, so a rejected call leaves ``rng`` unspawned.
     """
-    k = len(x)
-    if k != len(y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.ndim < 1 or x.shape != y.shape:
         raise ValueError("x and y must have the same number of lanes")
-    values = np.fromiter(map(float, [*x, *y]), np.float64, 2 * k)
-    magnitudes = np.abs(values)
-    outside = ~(magnitudes <= 1.0)
+    k = x.shape[-1]
+    values = np.concatenate([x, y], axis=-1).reshape(-1, 2 * k)
+    outside = ~(np.abs(values) <= 1.0)
     if outside.any():  # raises, naming the first such value
-        _check_value(values[outside.argmax()], "two-line bipolar")
+        _check_value(values[outside][0], "two-line bipolar")
     stream_len = _integer(stream_len, "stream length")
-    sources = rng.spawn(2 * k)
+    seeds = rng.seeds if isinstance(rng, RandomSource) else rng
+    if seeds.shape != x.shape[:-1]:
+        raise ValueError(f"need one source per pair of vectors, {x.shape[:-1]}, got {seeds.shape}")
+    lanes = seeds.spawn(2 * k).generators()
+    products = np.empty((*x.shape, stream_len), np.int8)
     bits = np.empty((2 * k, stream_len), np.bool_)
-    samples = np.empty(stream_len)
-    for src, p, line in zip(sources, magnitudes, bits):
-        _draw(p, None, src, samples, line)
     terns = bits.view(np.int8)
-    terns *= np.sign(values).astype(np.int8)[:, None]
-    return terns[:k] * terns[k:]
+    samples = np.empty(stream_len)
+    signs = np.sign(values).astype(np.int8)[..., None]
+    magnitudes = np.abs(values, out=values)  # in place: values is this call's own copy
+    for pair, sign, out in zip(magnitudes, signs, products.reshape(-1, k, stream_len)):
+        for p, line in zip(pair, bits):
+            _draw(p, next(lanes).random(out=samples), line)
+        terns *= sign
+        np.multiply(terns[:k], terns[k:], out=out)
+    return products
 
 
 encode_sm_products = encode_tlb_products
 
 
-def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
-    """Sample the storage-upset model as a sparse flip schedule.
+def draw_fault_schedules(gens, n_bits, n_cycles, p_flip):
+    """Sample the storage-upset model for a batch of trials, one numpy
+    ``Generator`` per trial, as batch-ready (trials, cycles, bits) arrays.
 
     Every storage bit flips independently with probability ``p_flip`` at
-    each main-clock cycle. Sampled as a binomial count plus a uniform
-    choice of distinct (cycle, bit) slots, which is distribution-identical
-    and keeps the schedule small. Returns (cycles, bits) arrays sorted by
-    cycle.
+    each main-clock cycle. A trial's flips are a binomial count plus a
+    uniform choice of that many distinct (cycle, bit) slots, which is
+    distribution-identical and keeps the schedule small. The arrays are
+    ``merge_fault_schedules`` of each trial's ``draw_fault_schedule``:
+    sorted by cycle, then trial, then bit, which one sort of one key gives.
     """
     n_bits = _integer(n_bits, "storage bit count", low=0)
     n_cycles = _integer(n_cycles, "cycle count", low=0)
@@ -148,12 +169,31 @@ def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
     if not (real and 0.0 <= p_flip <= 1.0):
         raise ValueError(f"flip probability must be a real number in [0, 1], got {p_flip!r}")
     total = n_bits * n_cycles
-    count = rng.binomial(total, p_flip) if p_flip > 0.0 else 0
-    if count == 0:
+    drawn, trials = [], []
+    for trial, gen in enumerate(gens):
+        count = int(gen.binomial(total, p_flip)) if p_flip > 0.0 else 0
+        if count:
+            drawn.append(gen.choice(total, size=count, replace=False))
+            trials.append(trial)
+    if not drawn:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    flat = np.sort(rng.sample_without_replacement(total, count))
-    return flat // n_bits, flat % n_bits
+        return empty, empty.copy(), empty.copy()
+    n_trials = trials[-1] + 1
+    trial = np.repeat(np.array(trials, dtype=np.int64), [len(d) for d in drawn])
+    cycle, bit = np.divmod(np.concatenate(drawn), n_bits)
+    if total * n_trials > np.iinfo(np.int64).max:  # the key would overflow
+        order = np.lexsort((bit, trial, cycle))
+        return trial[order], cycle[order], bit[order]
+    rest, bit = np.divmod(np.sort((cycle * n_trials + trial) * n_bits + bit), n_bits)
+    cycle, trial = np.divmod(rest, n_trials)
+    return trial, cycle, bit
+
+
+def draw_fault_schedule(rng, n_bits, n_cycles, p_flip):
+    """One trial's flip schedule from ``rng``, as (cycles, bits) arrays
+    sorted by cycle: the one-trial case of ``draw_fault_schedules``."""
+    _, cycles, bits = draw_fault_schedules([rng.generator], n_bits, n_cycles, p_flip)
+    return cycles, bits
 
 
 def _one_trial_faults(schedule):

@@ -37,14 +37,15 @@ import numpy as np
 from .batch import (
     _is_opposite,
     canceler_batch,
-    draw_fault_schedule,
-    encode_sm_products,  # noqa: F401  unused here, but perfbench/tracer.py wraps it
+    draw_fault_schedules,
     encode_tlb_products,
     engine_batch,
-    merge_fault_schedules,
     tree_batch,
 )
-from .rng import RandomSource
+
+# unused here, but perfbench/tracer.py wraps them by these names
+from .batch import draw_fault_schedule, encode_sm_products, merge_fault_schedules  # noqa: F401
+from .rng import RandomSource, SeedBatch, generators
 from .streams import _is_integer
 
 __all__ = [
@@ -220,8 +221,9 @@ def _point_sequence(seed, design, lanes, capacity, stream_len):
     )
 
 
-def _draw_trial_vectors(rng, lanes, input_scale):
-    """Random trial inputs with every partial product sum representable.
+def _trial_inputs(seeds, lanes, input_scale):
+    """Random inputs of a batch of trials, with every partial product sum
+    representable; trial t draws from source t of the ``SeedBatch`` ``seeds``.
 
     Non-scaled designs move at most one signed unit per node per cycle, so
     accuracy is only meaningful while every subtree's partial product sum
@@ -230,63 +232,59 @@ def _draw_trial_vectors(rng, lanes, input_scale):
     (drawn uniform in (-input_scale, input_scale)) plus a zero-sum texture
     component that exercises sign mixing, with the total L1 norm capped at
     ``input_scale``. Lane values are random (x_k, y_k) splits of the
-    products. Returns (x, y, true inner product).
+    products. Each trial draws its 3K + 2 uniforms in one call, in the
+    order sign, target, K weights, K texture values, K splits. Returns x
+    and y, (trials, K), and the true inner products, (trials,).
     """
-    sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    target = sign * rng.uniform() * input_scale
-    weights = rng.uniform(lanes)
-    total = weights.sum()
-    weights = weights / total if total > 0 else np.full(lanes, 1.0 / lanes)
-    aligned = target * weights
-    texture = rng.uniform_signed(lanes)
-    texture -= texture.mean()
-    texture_l1 = np.abs(texture).sum()
-    budget = input_scale - abs(target)
-    if texture_l1 > 0:
-        texture *= budget / texture_l1
-    else:
-        texture[:] = 0.0
+    u = np.empty((seeds.shape[0], 3 * lanes + 2))
+    for gen, row in zip(seeds.generators(), u):
+        gen.random(out=row)
+    target = np.where(u[:, :1] < 0.5, 1.0, -1.0) * u[:, 1:2] * input_scale
+    weights, texture, split = u[:, 2:].reshape(-1, 3, lanes).transpose(1, 0, 2)
+    total = weights.sum(axis=1, keepdims=True)
+    # where() keeps the scalar draw's fallbacks, and drops what 0 / 0 gives there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(total > 0, weights / total, 1.0 / lanes)
+        aligned = target * weights
+        texture = -1.0 + 2.0 * texture  # Generator.uniform(-1, 1), exactly
+        texture -= texture.mean(axis=1, keepdims=True)
+        texture_l1 = np.abs(texture).sum(axis=1, keepdims=True)
+        budget = input_scale - np.abs(target)
+        texture = np.where(texture_l1 > 0, texture * (budget / texture_l1), 0.0)
     products = aligned + texture
 
     magnitudes = np.abs(products)
-    split = rng.uniform(lanes)
     x_mag = magnitudes + split * (1.0 - magnitudes)
     y = np.where(x_mag > 0, magnitudes / x_mag, 0.0)
     x = np.where(products < 0, -x_mag, x_mag)
-    return x, y, float(x @ y)
+    # one dot product per trial: BLAS rounds x @ y differently from a row sum
+    return x, y, np.array([a @ b for a, b in zip(x, y)], dtype=np.float64)
 
 
 def _simulate_trials(payload):
     """Worker for one chunk of trials; pure function of its payload.
 
-    Each trial's lane products are encoded once and every p_flip runs on
-    them. Returns one (estimates, truths, overflow, cc) tuple per p_flip.
+    The chunk's trial sources are one ``SeedBatch``. Each trial spawns a vector,
+    an encoder and a fault source, and its lane products are encoded once;
+    every p_flip runs on them and draws each trial's fault schedule from a
+    fresh generator of that trial's fault words, as a lone point does.
+    Returns one (estimates, truths, overflow, cc) tuple per p_flip.
     """
-    cfg, p_flips, trial_sequences = payload
-    n = len(trial_sequences)
-    truths = np.zeros(n, dtype=np.float64)
-    products = np.zeros((n, cfg.lanes, cfg.stream_len), dtype=np.int8)
+    cfg, p_flips, trial_seeds = payload
+    n = trial_seeds.shape[0]
+    sources = trial_seeds.spawn(3)
+    x, y, truths = _trial_inputs(sources[:, 0], cfg.lanes, cfg.input_scale)
+    products = encode_tlb_products(x, y, cfg.stream_len, sources[:, 1])
+    fault_words = sources[:, 2].words()
     n_bits = 2 * cfg.capacity if cfg.design == "novel" else (cfg.lanes - 1) * cfg.capacity
-    fault_seqs = []
-    for i, seq in enumerate(trial_sequences):
-        vec_seq, enc_seq, fault_seq = seq.spawn(3)
-        vec_rng = RandomSource(_sequence=vec_seq)
-        x, y, z = _draw_trial_vectors(vec_rng, cfg.lanes, cfg.input_scale)
-        truths[i] = z
-        products[i] = encode_tlb_products(x, y, cfg.stream_len, RandomSource(_sequence=enc_seq))
-        fault_seqs.append(fault_seq)
 
     results = []
     for p_flip in p_flips:
-        # p = 0 passes None, as a lone fault-free point does, not an empty
-        # schedule; a fresh source per p draws the schedule a lone point would
+        # p = 0 passes None, as a lone fault-free point does, not an empty schedule
         faults = None
         if p_flip > 0.0:
-            faults = merge_fault_schedules(
-                [
-                    draw_fault_schedule(RandomSource(_sequence=s), n_bits, cfg.stream_len, p_flip)
-                    for s in fault_seqs
-                ]
+            faults = draw_fault_schedules(
+                generators(fault_words), n_bits, cfg.stream_len, p_flip
             )
         if cfg.design == "novel":
             out = engine_batch(
@@ -337,11 +335,11 @@ def _run_points(cfg, p_flips):
     if not p_flips:  # an empty grid encodes no trial
         return []
     point = _point_sequence(cfg.seed, cfg.design, cfg.lanes, cfg.capacity, cfg.stream_len)
-    trial_sequences = point.spawn(cfg.trials)
+    trial_seeds = SeedBatch.of(point).spawn(cfg.trials)
     chunks = max(1, min(cfg.jobs, cfg.trials, _usable_cpus()))
     bounds = np.linspace(0, cfg.trials, chunks + 1, dtype=int)
     payloads = [
-        (cfg, p_flips, trial_sequences[lo:hi])
+        (cfg, p_flips, trial_seeds[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]

@@ -1,17 +1,18 @@
 """Seedable random source with splittable sub-streams.
 
-``RandomSource.spawn`` derives the seed words of all its children in one
-numpy pass, with the bits of numpy's ``SeedSequence`` (O'Neill, "Developing
-a seed_seq Alternative", pcg-random.org, 2015). A child's entropy is its
-parent's followed by the child index, and ``SeedSequence`` mixes entropy one
-word at a time, so a child's pool is its parent's pool with the index words
-mixed in. The hash constant of each mix depends only on how many words were
-mixed before it. Each child's ``generate_state(4, uint64)`` words then seed a
-``PCG64`` (O'Neill, HMC-CS-2014-0905, 2014), which applies its own set-seed
-step.
+A ``SeedBatch`` holds the seed pools of an array of sources and derives the
+seed words of all their children in one numpy pass, with the bits of
+numpy's ``SeedSequence`` (O'Neill, "Developing a seed_seq Alternative",
+pcg-random.org, 2015). A child's entropy is its parent's followed by the
+child index, and ``SeedSequence`` mixes entropy one word at a time, so a
+child's pool is its parent's pool with the index words mixed in. The hash
+constant of each mix depends only on how many words were mixed before it,
+so every row carries the constant its next word starts from. Each child's
+``generate_state(4, uint64)`` words then seed a ``PCG64`` (O'Neill,
+HMC-CS-2014-0905, 2014), which applies its own set-seed step.
+``RandomSource.spawn`` is the one-source case; a sweep derives the sources
+of all its trials, and of all their lanes, as batches.
 """
-
-import functools
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -23,6 +24,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy-mixing hash
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state hash
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _STATE_WORDS = 8  # generate_state(4, uint64) as uint32 words
+# sources whose seed words SeedBatch.generators derives in one pass: 32 KiB
+_WORDS_BLOCK = 1 << 10
 _STATE_HASH = np.array(
     [_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(_STATE_WORDS + 1)],
     dtype=np.uint32,
@@ -36,26 +39,26 @@ def _n_words(x):
     return sum(_n_words(v) for v in x)
 
 
-@functools.cache
-def _mix_hashes(width, mixed):
-    """The width + 1 hash constants that mixing one word after ``mixed`` reads."""
-    return np.array(
-        [_INIT_A * pow(_MULT_A, width * mixed + d, 1 << 32) & _MASK32 for d in range(width + 1)],
-        dtype=np.uint32,
-    )
-
-
-def _mix_in(pools, words, mixed):
-    """Mix one 32-bit word per row into ``pools`` after ``mixed`` words.
+def _mix_in(pools, hashes, words):
+    """Mix one 32-bit word per row into ``pools`` and return the advanced
+    hash constants.
 
     Word w reaches pool entry d as ``mix(pool[d], hashmix(w))``, and each
-    hashmix advances the hash constant once.
+    hashmix advances the row's hash constant once.
     """
-    h = _mix_hashes(pools.shape[1], mixed)
-    hashed = (words[:, None] ^ h[:-1]) * h[1:]
+    steps = np.array(
+        [pow(_MULT_A, d, 1 << 32) for d in range(pools.shape[-1] + 1)], dtype=np.uint32
+    )
+    h = hashes[..., None] * steps
+    # in place where it can be: the lane batches of a sweep are large
+    hashed = words[..., None] ^ h[..., :-1]
+    hashed *= h[..., 1:]
     hashed ^= hashed >> 16
-    pools[...] = _MIX_L * pools - _MIX_R * hashed
+    hashed *= _MIX_R
+    pools *= _MIX_L
+    pools -= hashed
     pools ^= pools >> 16
+    return h[..., -1].copy()
 
 
 class _SeedWords(ISeedSequence):
@@ -70,6 +73,85 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def _state_words(pools):
+    """The ``generate_state(4, uint64)`` words of (..., pool_size) pools."""
+    state = pools[..., np.arange(_STATE_WORDS) % pools.shape[-1]]
+    state ^= _STATE_HASH[:-1]
+    state *= _STATE_HASH[1:]
+    state ^= state >> 16
+    words = np.ascontiguousarray(state, dtype="<u4").view("<u8")
+    return words.astype(np.uint64, copy=False)
+
+
+def generators(words):
+    """One numpy ``Generator`` per row of ``SeedBatch.words()``, built as it
+    is reached, so that a batch holds one generator at a time."""
+    for row in words.reshape(-1, 4):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
+
+
+class SeedBatch:
+    """The seed pools of an array of sources, without their generators.
+
+    ``pools`` is a (..., pool_size) uint32 array, and ``hashes`` holds each
+    source's hash constant for its next mixed word. All sources spawn
+    together, so one count of spawned children serves the batch. Indexing
+    selects sources, as on the leading axes of ``pools``.
+    """
+
+    def __init__(self, pools, hashes, spawned=0):
+        self.pools = pools
+        self.hashes = hashes
+        self.spawned = spawned
+
+    @classmethod
+    def of(cls, sequence):
+        """The one-source batch, of shape (), of a numpy ``SeedSequence``."""
+        # the entropy is padded to the pool size before the spawn key follows
+        mixed = max(sequence.pool_size, _n_words(sequence.entropy)) + _n_words(sequence.spawn_key)
+        hashes = np.array(
+            _INIT_A * pow(_MULT_A, sequence.pool_size * mixed, 1 << 32) & _MASK32, dtype=np.uint32
+        )
+        return cls(sequence.pool.astype(np.uint32), hashes, sequence.n_children_spawned)
+
+    @property
+    def shape(self):
+        return self.hashes.shape
+
+    def __getitem__(self, index):
+        return SeedBatch(self.pools[index], np.asarray(self.hashes[index]), self.spawned)
+
+    def spawn(self, n):
+        """The next ``n`` children of every source, as a batch with one more
+        axis of length ``n``."""
+        n = _integer(n, "the number of sources to spawn", low=0)
+        first = self.spawned
+        self.spawned += n
+        # Child i mixes in the low word of i and, once i >= 2**32, its high word.
+        index = np.arange(first, first + n, dtype=np.uint64)
+        pools = np.repeat(self.pools[..., None, :], n, axis=-2)
+        hashes = np.repeat(self.hashes[..., None], n, axis=-1)
+        hashes = _mix_in(pools, hashes, (index & _MASK32).astype(np.uint32))
+        wide = min(n, max(0, (1 << 32) - first))
+        if wide < n:
+            hashes[..., wide:] = _mix_in(
+                pools[..., wide:, :], hashes[..., wide:], (index[wide:] >> 32).astype(np.uint32)
+            )
+        return SeedBatch(pools, hashes)
+
+    def words(self):
+        """Every source's ``generate_state(4, uint64)`` words, (..., 4)."""
+        return _state_words(self.pools)
+
+    def generators(self):
+        """One numpy ``Generator`` per source, in C order, each built as it is
+        reached from words derived ``_WORDS_BLOCK`` sources at a time: a batch
+        of all lanes of a sweep holds its pools and one block of words."""
+        pools = self.pools.reshape(-1, self.pools.shape[-1])
+        for lo in range(0, len(pools), _WORDS_BLOCK):
+            yield from generators(_state_words(pools[lo:lo + _WORDS_BLOCK]))
+
+
 class RandomSource:
     """Pseudo-random source backing all stream generation.
 
@@ -77,48 +159,36 @@ class RandomSource:
     derives statistically independent child sources, so each encoder lane
     (and each Monte Carlo trial) can own its own sub-stream while the whole
     experiment stays reproducible from one 64-bit seed. Children carry the
-    same bits as ``SeedSequence.spawn`` would give them.
+    same bits as ``SeedSequence.spawn`` would give them. ``seeds`` is the
+    source's seed pool as a batch of one source; spawning from it advances
+    the source's own child numbering.
     """
 
     def __init__(self, seed=None, _sequence=None):
         if _sequence is None:
             _sequence = np.random.SeedSequence(seed)
         self._entropy = _sequence.entropy
-        self._pool = _sequence.pool
-        # the entropy is padded to the pool size before the spawn key follows
-        entropy_words = max(_sequence.pool_size, _n_words(self._entropy))
-        self._mixed = entropy_words + _n_words(_sequence.spawn_key)
-        self._spawned = _sequence.n_children_spawned
+        self.seeds = SeedBatch.of(_sequence)
         self._gen = np.random.Generator(np.random.PCG64(_sequence))
 
     @property
     def seed(self):
         return self._entropy
 
+    @property
+    def generator(self):
+        """The numpy ``Generator`` this source draws from."""
+        return self._gen
+
     def spawn(self, n):
         """Split off ``n`` independent child sources."""
-        n = _integer(n, "the number of sources to spawn", low=0)
-        first = self._spawned
-        self._spawned += n
-        # Child i mixes in the low word of i and, once i >= 2**32, its high word.
-        index = np.arange(first, first + n, dtype=np.uint64)
-        pools = np.repeat(self._pool[None, :], n, axis=0)
-        _mix_in(pools, (index & _MASK32).astype(np.uint32), self._mixed)
-        wide = min(n, max(0, (1 << 32) - first))
-        if wide < n:
-            _mix_in(pools[wide:], (index[wide:] >> 32).astype(np.uint32), self._mixed + 1)
-        cycled = pools[:, np.arange(_STATE_WORDS) % pools.shape[1]]
-        state = (cycled ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
-        state ^= state >> 16
-        words = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+        seeds = self.seeds.spawn(n)
         children = []
-        for j in range(n):
+        for j, gen in enumerate(seeds.generators()):
             child = RandomSource.__new__(RandomSource)
             child._entropy = self._entropy
-            child._pool = pools[j]
-            child._mixed = self._mixed + 1 + (j >= wide)
-            child._spawned = 0
-            child._gen = np.random.Generator(np.random.PCG64(_SeedWords(words[j])))
+            child.seeds = seeds[j]
+            child._gen = gen
             children.append(child)
         return children
 
@@ -126,17 +196,6 @@ class RandomSource:
         """Uniform samples in [0, 1), written into the float64 array ``out``
         and returned, if it is given."""
         return self._gen.random(size, out=out)
-
-    def uniform_signed(self, size=None):
-        """Uniform samples in [-1, 1)."""
-        return self._gen.uniform(-1.0, 1.0, size)
-
-    def binomial(self, n, p):
-        return int(self._gen.binomial(n, p))
-
-    def sample_without_replacement(self, n, size):
-        """``size`` distinct draws from ``range(n)``."""
-        return self._gen.choice(n, size=size, replace=False)
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed!r})"

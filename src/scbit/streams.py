@@ -55,20 +55,16 @@ def _as_bits(values):
         raise ValueError("bit stream must be a non-empty 1-d sequence")
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bit stream symbols must be 0 or 1")
-    out = np.ascontiguousarray(arr, dtype=np.uint8)
+    # a copy, so that freezing it leaves the caller's array writeable
+    out = np.array(arr, dtype=np.uint8, order="C")
     out.flags.writeable = False
     return out
 
 
-def _draw(p, length, rng, samples=None, out=None):
-    """Comparator bits, as bools: 1 wherever the next uniform sample is below
-    ``p``.
-
-    Draws into the float64 buffer ``samples`` and writes the bits into the
-    bool array ``out`` where given; ``length`` is then None, since numpy reads
-    the size from a buffer faster than it checks a given size against it.
-    """
-    return np.less(rng.uniform(length, out=samples), p, out=out)
+def _draw(p, samples, out=None):
+    """Comparator bits, as bools: 1 wherever a uniform sample of ``samples``
+    is below ``p``; written into the bool array ``out`` where given."""
+    return np.less(samples, p, out=out)
 
 
 class BitStream:
@@ -184,7 +180,7 @@ def encode_unipolar(x, length, rng):
     """Draw a Bernoulli(x) stream of the given length."""
     _check_value(x, "unipolar", low=0.0)
     length = _integer(length, "stream length")
-    return BitStream(_draw(x, length, rng))
+    return BitStream(_draw(x, rng.uniform(length)))
 
 
 def decode_unipolar(stream):
@@ -196,7 +192,7 @@ def encode_bipolar(x, length, rng):
     """Single-stream encoding of x in [-1, 1] via Bernoulli((x+1)/2)."""
     _check_value(x, "bipolar")
     length = _integer(length, "stream length")
-    return BitStream(_draw((x + 1.0) / 2.0, length, rng))
+    return BitStream(_draw((x + 1.0) / 2.0, rng.uniform(length)))
 
 
 def decode_bipolar(stream):
@@ -212,7 +208,7 @@ def encode_tlb(x, length, rng):
     """
     _check_value(x, "two-line bipolar")
     length = _integer(length, "stream length")
-    magnitude = _draw(abs(x), length, rng)
+    magnitude = _draw(abs(x), rng.uniform(length))
     zero = np.zeros(length, dtype=np.uint8)
     if x >= 0:
         return TlbStream(magnitude, zero)
@@ -228,7 +224,7 @@ def encode_sm(x, length, rng):
     """Signed-magnitude encoding: constant sign bit, Bernoulli(|x|) magnitude."""
     _check_value(x, "signed-magnitude")
     length = _integer(length, "stream length")
-    magnitude = _draw(abs(x), length, rng)
+    magnitude = _draw(abs(x), rng.uniform(length))
     sign = np.full(length, x < 0, dtype=np.uint8)
     return SmStream(sign, magnitude)
 

@@ -2,7 +2,8 @@
 time, independent of the trial-batched kernels in ``scbit.batch``, which
 the tests check against them bit for bit. The carry shift register and the
 non-scaled adder are kept cell by cell here; the adder kernel holds the
-adder's two registers as one signed count."""
+adder's two registers as one signed count. ``draw_trial_vectors`` is the
+one-trial, one-value-at-a-time form of the sweeps' batched input draw."""
 
 import csv
 
@@ -491,3 +492,36 @@ def run_tree(products, width, fault_schedule=()):
             nodes[cell // width].flip_bit(cell % width)
         emitted[l] = tree.step(products[:, l].tolist())
     return emitted, tree.saturation_events(), tree.stored_sum()
+
+
+def draw_trial_vectors(rng, lanes, input_scale):
+    """One trial's sweep inputs (x, y, true inner product), drawn from the
+    ``RandomSource`` ``rng`` one value at a time.
+
+    The scalar form of ``experiments._trial_inputs``: a sign-aligned
+    component carrying the target inner product plus a zero-sum texture,
+    with total L1 norm ``input_scale``, split into random (x_k, y_k) pairs.
+    """
+    gen = rng.generator
+    sign = 1.0 if gen.random() < 0.5 else -1.0
+    target = sign * gen.random() * input_scale
+    weights = gen.random(lanes)
+    total = weights.sum()
+    weights = weights / total if total > 0 else np.full(lanes, 1.0 / lanes)
+    aligned = target * weights
+    texture = gen.uniform(-1.0, 1.0, lanes)
+    texture -= texture.mean()
+    texture_l1 = np.abs(texture).sum()
+    budget = input_scale - abs(target)
+    if texture_l1 > 0:
+        texture *= budget / texture_l1
+    else:
+        texture[:] = 0.0
+    products = aligned + texture
+
+    magnitudes = np.abs(products)
+    split = gen.random(lanes)
+    x_mag = magnitudes + split * (1.0 - magnitudes)
+    y = np.where(x_mag > 0, magnitudes / x_mag, 0.0)
+    x = np.where(products < 0, -x_mag, x_mag)
+    return x, y, float(x @ y)

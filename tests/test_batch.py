@@ -17,12 +17,14 @@ from scbit.adder import add_ternary
 from scbit.batch import (
     canceler_batch,
     draw_fault_schedule,
+    draw_fault_schedules,
     encode_sm_products,
     encode_tlb_products,
     engine_batch,
     merge_fault_schedules,
     tree_batch,
 )
+from scbit.rng import SeedBatch
 
 
 # -- product encoders -----------------------------------------------------------
@@ -166,6 +168,37 @@ def test_product_encoder_input_types_pinned(x, y, digest):
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("batch_shape", [(1,), (5,), (2, 3)])
+def test_product_encoder_batches_pairs_with_one_source_each(batch_shape):
+    # pair t of a batch is encoded as a one-pair call on numpy's SeedSequence
+    # of source t, and every source then numbers its next child from 2K
+    k, stream_len = 3, 40
+    inputs = np.random.default_rng(1)
+    x = inputs.uniform(-1, 1, (*batch_shape, k))
+    y = inputs.uniform(-1, 1, (*batch_shape, k))
+    sources = SeedBatch.of(np.random.SeedSequence(9))
+    for n in batch_shape:  # source (i, j) is numpy's SeedSequence(9, spawn_key=(i, j))
+        sources = sources.spawn(n)
+    products = encode_tlb_products(x, y, stream_len, sources)
+    assert products.shape == (*batch_shape, k, stream_len) and products.dtype == np.int8
+    assert sources.spawned == 2 * k
+    for index in np.ndindex(batch_shape):
+        rng = RandomSource(_sequence=np.random.SeedSequence(9, spawn_key=index))
+        want = encode_tlb_products(x[index], y[index], stream_len, rng)
+        assert np.array_equal(products[index], want), index
+
+
+def test_product_encoder_needs_one_source_per_pair():
+    sources = SeedBatch.of(np.random.SeedSequence(2)).spawn(3)
+    with pytest.raises(ValueError, match="one source per pair"):
+        encode_tlb_products(np.zeros((2, 4)), np.zeros((2, 4)), 8, sources)
+    with pytest.raises(ValueError, match="one source per pair"):
+        encode_tlb_products(np.zeros(4), np.zeros(4), 8, sources)
+    with pytest.raises(ValueError, match="same number of lanes"):
+        encode_tlb_products(np.zeros((3, 4)), np.zeros((3, 5)), 8, sources)
+    assert sources.spawned == 0
+
+
 signed_unit = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
     st.floats(-1.0, 1.0, allow_nan=False),
@@ -262,6 +295,47 @@ def test_merge_fault_schedules_rejects_mismatched_arrays():
     for schedule in ((3, 4), ([3], 4), (np.array([[1, 2]]), np.array([[3, 4]]))):
         with pytest.raises(ValueError, match="trial 1: fault .* must be 1-D arrays"):
             merge_fault_schedules([None, schedule])
+
+
+@pytest.mark.parametrize("n_trials", (1, 7), ids=("one-trial", "7-trials"))
+@pytest.mark.parametrize(
+    "n_bits,n_cycles,p_flip",
+    [
+        (12, 100, 0.0),
+        (12, 100, 0.05),
+        (60, 100, 0.03),
+        (8, 50, 1.0),  # every slot flips
+        (0, 100, 0.5),  # no storage bits
+        (5, 0, 0.5),
+        (3, 2000, 0.001),
+        (2**40, 2**22, 1e-15),  # 7 trials overflow the int64 sort key
+    ],
+)
+def test_batched_fault_schedules_equal_merged_single_draws(n_trials, n_bits, n_cycles, p_flip):
+    # trial t of the batch is draw_fault_schedule from generator t, and the
+    # batch arrays are what merge_fault_schedules makes of all of them
+    got = draw_fault_schedules(
+        [s.generator for s in RandomSource(3).spawn(n_trials)], n_bits, n_cycles, p_flip
+    )
+    want = merge_fault_schedules(
+        [draw_fault_schedule(s, n_bits, n_cycles, p_flip) for s in RandomSource(3).spawn(n_trials)]
+    )
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+    if p_flip == 1.0:
+        assert len(got[0]) == n_trials * n_bits * n_cycles
+    if p_flip == 0.0 or n_bits * n_cycles == 0:
+        assert len(got[0]) == 0
+
+
+def test_batched_fault_schedules_check_arguments_before_drawing():
+    gens = [s.generator for s in RandomSource(0).spawn(2)]
+    states = [g.bit_generator.state for g in gens]
+    for args in ((2.5, 10, 0.1), (4, -1, 0.1), (4, 10, True), (4, 10, 1.5)):
+        with pytest.raises(ValueError):
+            draw_fault_schedules(gens, *args)
+    assert [g.bit_generator.state for g in gens] == states
 
 
 # -- engine batch vs the scalar oracle ------------------------------------------

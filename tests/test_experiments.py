@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scbit.experiments as experiments
+from oracles import draw_trial_vectors
 from scbit.baseline import run_tree_inner_product
 from scbit.engine import run_inner_product
 from scbit.experiments import (
@@ -22,6 +23,7 @@ from scbit.experiments import (
     run_fault_sweep,
     run_point,
 )
+from scbit.rng import RandomSource, SeedBatch
 
 SMALL = dict(lanes=4, carry_len=4, counter_width=4, stream_len=400, trials=24, seed=11)
 
@@ -171,8 +173,8 @@ def test_run_point_workers_capped_by_usable_cpus(monkeypatch):
 
 @pytest.mark.parametrize("design", ["novel", "baseline"])
 def test_both_designs_encode_through_one_encoder(monkeypatch, design):
-    # the sweep worker encodes every trial's lane products with the one
-    # encoder, whichever design it runs
+    # the sweep worker encodes the lane products of all its trials in one
+    # call of the one encoder, whichever design it runs
     calls = {"encode_tlb_products": 0, "encode_sm_products": 0}
     for name in calls:
 
@@ -182,8 +184,9 @@ def test_both_designs_encode_through_one_encoder(monkeypatch, design):
 
         monkeypatch.setattr(experiments, name, counted)
     cfg = ExperimentConfig(design=design, lanes=4, stream_len=16, trials=3, p_flip=0.1)
-    experiments._simulate_trials((cfg, [cfg.p_flip], np.random.SeedSequence(0).spawn(cfg.trials)))
-    assert calls == {"encode_tlb_products": cfg.trials, "encode_sm_products": 0}
+    trials = SeedBatch.of(np.random.SeedSequence(0)).spawn(cfg.trials)
+    experiments._simulate_trials((cfg, [cfg.p_flip], trials))
+    assert calls == {"encode_tlb_products": 1, "encode_sm_products": 0}
 
 
 def test_run_point_baseline_lane_check():
@@ -269,7 +272,8 @@ def test_fault_sweep_encodes_each_trial_once(monkeypatch, design, p_flips):
     monkeypatch.setattr(experiments, "encode_tlb_products", counted)
     cfg = ExperimentConfig(design=design, lanes=4, stream_len=16, trials=5)
     run_fault_sweep(p_flips, cfg)
-    assert len(calls) == (cfg.trials if p_flips else 0)
+    # one call encodes every trial: x and y hold one row per trial
+    assert [args[0].shape for args in calls] == ([(cfg.trials, cfg.lanes)] if p_flips else [])
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
@@ -542,3 +546,45 @@ def test_canceler_gap_at_k2():
     # exact values are 7/32 and 8/32
     assert abs(opp["p_p"] - 7 / 32) < 0.01
     assert abs(same["p_p"] - 8 / 32) < 0.01
+
+
+@pytest.mark.parametrize("input_scale", (0.9, 1.0, 0.25))
+@pytest.mark.parametrize("seed", (0, 1, 977, 2**40 + 3))
+@pytest.mark.parametrize("lanes", (1, 2, 3, 16, 64))
+def test_trial_inputs_match_the_scalar_draw(lanes, seed, input_scale):
+    # the batched draw gives every trial the bytes of the scalar draw, one
+    # value at a time, from numpy's own SeedSequence of the trial's vector
+    # source (spawn key (trial, 0)); the truth is each trial's own dot product
+    point = np.random.SeedSequence((seed, 0, lanes, 6, 100))
+    vectors = SeedBatch.of(point).spawn(30).spawn(3)[:, 0]
+    x, y, truths = experiments._trial_inputs(vectors, lanes, input_scale)
+    assert x.shape == y.shape == (30, lanes) and truths.shape == (30,)
+    for t in range(30):
+        rng = RandomSource(_sequence=np.random.SeedSequence(point.entropy, spawn_key=(t, 0)))
+        want_x, want_y, want_truth = draw_trial_vectors(rng, lanes, input_scale)
+        assert x[t].tobytes() == want_x.tobytes(), t
+        assert y[t].tobytes() == want_y.tobytes(), t
+        assert truths[t] == want_truth, t
+
+
+@pytest.mark.parametrize("design", ["novel", "baseline"])
+def test_sweep_worker_encodes_each_trial_from_its_own_sources(design):
+    # trial t of one worker batch has the lane products of a one-trial
+    # encoder call on numpy's SeedSequence of its encoder source, key (t, 1)
+    cfg = ExperimentConfig(design=design, lanes=4, stream_len=50, trials=6, seed=5)
+    point = experiments._point_sequence(cfg.seed, cfg.design, cfg.lanes, cfg.capacity, 50)
+    seen = []
+    encode = experiments.encode_tlb_products
+
+    def spy(x, y, stream_len, rng):
+        out = encode(x, y, stream_len, rng)
+        seen.append((x, y, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "encode_tlb_products", spy)
+        run_point(cfg)
+    [(x, y, products)] = seen
+    for t in range(cfg.trials):
+        rng = RandomSource(_sequence=np.random.SeedSequence(point.entropy, spawn_key=(t, 1)))
+        assert np.array_equal(products[t], encode(x[t], y[t], 50, rng)), t

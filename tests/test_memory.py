@@ -1,4 +1,4 @@
-"""Memory bounds of the single-shot paths.
+"""Memory bounds of the single-shot paths and of one sweep point.
 
 numpy reports its allocations to ``tracemalloc``, so a traced peak counts
 array buffers and Python objects alike and repeats from run to run.
@@ -13,7 +13,13 @@ from pathlib import Path
 import numpy as np
 
 import scbit
-from scbit import ExperimentConfig, RandomSource, run_canceler_experiment, run_inner_product
+from scbit import (
+    ExperimentConfig,
+    RandomSource,
+    run_canceler_experiment,
+    run_inner_product,
+    run_point,
+)
 from scbit.batch import encode_tlb_products
 
 MB = 1 << 20
@@ -55,6 +61,19 @@ def test_lane_products_hold_one_bit_array():
     x, y = np.linspace(-1, 1, 64), np.linspace(0.9, -0.9, 64)
     peak = traced_peak(encode_tlb_products, x, y, 20_000, RandomSource(3))
     assert peak < 6 * MB
+
+
+def test_sweep_point_holds_the_products_and_little_else():
+    # the (trials, K, L) int8 products take 25.6 MB. The seed words take 32
+    # bytes per lane (0.8 MB) and the trial vectors 8 * (3K + 2) bytes per
+    # trial (0.3 MB); one trial's (2K, L) bits and row of uniforms and the
+    # engine's per-cycle planes are the rest of a 4 MiB margin. One
+    # (trials, 2K, L) buffer of float uniforms would take 410 MB, and one of
+    # bits 51 MB
+    config = ExperimentConfig(lanes=64, stream_len=2000, trials=200, seed=3)
+    products = config.trials * config.lanes * config.stream_len
+    peak = traced_peak(run_point, config)
+    assert peak < products + 4 * MB
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -1,7 +1,9 @@
-"""RandomSource.spawn against numpy's own SeedSequence and PCG64.
+"""RandomSource.spawn and SeedBatch against numpy's own SeedSequence and
+PCG64.
 
-``spawn`` derives its children's seed words itself, so these tests pin
-them, and 1000 draws of each child, to numpy's reference children
+``SeedBatch.spawn`` derives the seed words of a whole batch's children
+itself, and ``RandomSource.spawn`` is its one-source case, so these tests
+pin them, and 1000 draws of each child, to numpy's reference children
 ``SeedSequence(entropy, spawn_key=key + (i,))``. numpy's stream
 compatibility policy (NEP 19) may change these bits in a future release;
 these tests then fail loudly instead of letting the sweeps drift.
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from scbit import RandomSource
+from scbit.rng import SeedBatch, generators
 
 ENTROPIES = (7, (1, 0, 16, 6, 10000), 2**32 + 5, 2**100 + 3)
 KEYS = ((), (3,), (2**32 + 1, 7), (1, 2**40, 5))
@@ -22,7 +25,7 @@ def assert_children_match(children, entropy, key, first, pool_size=4):
         ref = np.random.SeedSequence(entropy, spawn_key=key + (i,), pool_size=pool_size)
         bit_generator = np.random.PCG64(ref)
         assert child._gen.bit_generator.state == bit_generator.state, i
-        np.testing.assert_array_equal(child._pool, ref.pool)
+        np.testing.assert_array_equal(child.seeds.pools, ref.pool)
         draws = np.random.Generator(bit_generator).random(1000)
         np.testing.assert_array_equal(child.uniform(1000), draws)
         assert child.seed == entropy
@@ -110,3 +113,94 @@ def test_uniform_into_a_buffer():
     np.testing.assert_array_equal(sized, buffer)
     with pytest.raises(ValueError):
         RandomSource(4).uniform(299, out=buffer)
+
+
+# -- SeedBatch: the sources of a whole batch in one pass ---------------------
+
+
+def assert_batch_matches(batch, entropy, key, pool_size=4):
+    """Every source of ``batch`` is numpy's SeedSequence(entropy, key + index),
+    for its index in the batch: the pool, the PCG64 seed words and 1000 draws
+    of the generator those words seed."""
+    words = batch.words()
+    draws = [gen.random(1000) for gen in generators(words)]
+    for n, index in enumerate(np.ndindex(batch.shape)):
+        ref = np.random.SeedSequence(entropy, spawn_key=key + index, pool_size=pool_size)
+        np.testing.assert_array_equal(batch.pools[index], ref.pool)
+        np.testing.assert_array_equal(words[index], ref.generate_state(4, np.uint64))
+        want = np.random.Generator(np.random.PCG64(ref)).random(1000)
+        np.testing.assert_array_equal(draws[n], want)
+
+
+@pytest.mark.parametrize("pool_size", (4, 8))
+@pytest.mark.parametrize("key", KEYS, ids=("depth0", "depth1", "depth2-wide", "depth3-wide"))
+@pytest.mark.parametrize("entropy", ENTROPIES, ids=("int", "tuple", "int-2^32", "int-2^100"))
+def test_seed_batch_matches_seed_sequence_at_sweep_depths(entropy, key, pool_size):
+    # a sweep's two batched depths: each trial spawns its vector, encoder and
+    # fault sources, and each encoder source spawns its 2K lane sources
+    point = np.random.SeedSequence(entropy, spawn_key=key, pool_size=pool_size)
+    trials = SeedBatch.of(point).spawn(3)
+    sources = trials.spawn(3)
+    assert sources.shape == (3, 3)
+    assert_batch_matches(sources, entropy, key, pool_size)
+    lanes = sources[:, 1].spawn(2 * 5)
+    assert lanes.shape == (3, 10)
+    for t in range(3):
+        assert_batch_matches(lanes[t], entropy, key + (t, 1), pool_size)
+
+
+@pytest.mark.parametrize("key", KEYS[:3], ids=("depth0", "depth1", "depth2-wide"))
+@pytest.mark.parametrize("entropy", ENTROPIES[:3], ids=("int", "tuple", "int-2^32"))
+def test_seed_batch_across_index_2_32(entropy, key):
+    # indices 2^32 - 2 .. 2^32 + 1 of two sources at once: from 2^32 on an
+    # index is two words, so the children's hash constants differ by row
+    # and column, and their own children must follow each one's
+    parents = SeedBatch.of(np.random.SeedSequence(entropy, spawn_key=key)).spawn(2)
+    parents.spawned = 2**32 - 2
+    children = parents.spawn(4)
+    for p in range(2):
+        for j, i in enumerate(range(2**32 - 2, 2**32 + 2)):
+            ref = np.random.SeedSequence(entropy, spawn_key=key + (p, i))
+            np.testing.assert_array_equal(children.pools[p, j], ref.pool)
+    grandchildren = children.spawn(2)
+    for p in range(2):
+        for j, i in enumerate(range(2**32 - 2, 2**32 + 2)):
+            assert_batch_matches(grandchildren[p, j], entropy, key + (p, i))
+
+
+def test_seed_batch_spawns_continue_the_numbering_and_advance_a_source():
+    entropy = (1, 0, 16, 6, 10000)
+    batch = SeedBatch.of(np.random.SeedSequence(entropy)).spawn(2)
+    first, second = batch.spawn(3), batch.spawn(2)
+    assert batch.spawned == 5
+    for p in range(2):
+        whole = np.concatenate([first.words()[p], second.words()[p]])
+        want = [np.random.SeedSequence(entropy, spawn_key=(p, i)).generate_state(4, np.uint64)
+                for i in range(5)]
+        np.testing.assert_array_equal(whole, want)
+    # a source's seeds are a batch of shape (); spawning from them numbers on
+    # the source's own children
+    rng = source(entropy)
+    assert rng.seeds.shape == ()
+    assert rng.seeds.spawn(4).shape == (4,)
+    assert_children_match(rng.spawn(2), entropy, (), 4)
+
+
+def test_seed_batch_rejects_non_integer_counts_before_spawning():
+    batch = SeedBatch.of(np.random.SeedSequence(3)).spawn(2)
+    with pytest.raises(ValueError, match="sources to spawn"):
+        batch.spawn(2.5)
+    assert batch.spawned == 0
+    assert batch.spawn(0).shape == (2, 0)
+
+
+def test_seed_batch_generators_cross_word_blocks():
+    # generators() derives seed words a block of sources at a time; across
+    # the block borders it gives the generators of words() in C order
+    batch = SeedBatch.of(np.random.SeedSequence(5)).spawn(3).spawn(1000)
+    words = batch.words()
+    states = [gen.bit_generator.state for gen in batch.generators()]
+    assert states == [gen.bit_generator.state for gen in generators(words)]
+    for index in ((1, 23), (1, 24), (2, 47), (2, 48)):  # flat 1023, 1024, 2047, 2048
+        ref = np.random.SeedSequence(5, spawn_key=index).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(words[index], ref)

@@ -58,6 +58,20 @@ def test_bitstream_immutable():
         s.bits[0] = 0
 
 
+@pytest.mark.parametrize(
+    "line", (lambda a: BitStream(a), lambda a: TlbStream(a, np.zeros(3, np.uint8)).pos),
+    ids=("BitStream", "TlbStream"),
+)
+def test_stream_leaves_the_callers_array_writeable(line):
+    # a contiguous uint8 input is copied before it is frozen, as every other
+    # dtype already is; before, the caller's own array was frozen
+    a = np.array([0, 1, 1], dtype=np.uint8)
+    stream = line(a)
+    assert a.flags.writeable
+    a[0] = 1
+    assert stream.bits.tolist() == [0, 1, 1]
+
+
 def test_stream_pair_length_mismatch():
     with pytest.raises(ValueError):
         TlbStream([1, 0], [0])

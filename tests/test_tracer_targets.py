@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from scbit import ExperimentConfig, RandomSource, batch
+from scbit import ExperimentConfig, RandomSource, batch, experiments
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -26,11 +26,15 @@ HOOK_ARGUMENTS = {
 }
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer._targets()
+    return tracer
+
+
+def load_targets():
+    return load_tracer()._targets()
 
 
 def test_every_traced_name_resolves():
@@ -65,8 +69,9 @@ def test_product_encoders_call_the_traced_names(monkeypatch, products, encoder):
     # streams.encode_calls counts calls of batch.encode_tlb, looked up in
     # batch's globals at call time, and rng.sources_made counts what
     # RandomSource.spawn returns: the product encoders draw every lane's bits
-    # into one array, so they make one spawn(2K) and no encoder call, for the
-    # SM lane products of the adder tree too
+    # into one array from generators of the lanes' seed words, so they make
+    # no encoder call and no RandomSource.spawn, for the SM lane products of
+    # the adder tree too; the source still numbers its next children from 2K
     calls, spawns = [], []
     encode, spawn = getattr(batch, encoder), RandomSource.spawn
 
@@ -81,6 +86,28 @@ def test_product_encoders_call_the_traced_names(monkeypatch, products, encoder):
     monkeypatch.setattr(batch, encoder, counted_encode)
     monkeypatch.setattr(RandomSource, "spawn", counted_spawn)
     lanes = 5
-    products([0.5] * lanes, [-0.25] * lanes, 16, RandomSource(0))
+    rng = RandomSource(0)
+    products([0.5] * lanes, [-0.25] * lanes, 16, rng)
     assert calls == []
-    assert spawns == [2 * lanes]
+    assert spawns == []
+    assert rng.seeds.spawned == 2 * lanes
+
+
+@pytest.mark.parametrize("design", ["novel", "baseline"])
+def test_traced_sweeps_run_every_hook(design):
+    # the traced benchmark wraps every target and runs its count hooks on
+    # the sweeps' calls; a hook broken by a changed call would otherwise
+    # show only in a traced benchmark run
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        cfg = ExperimentConfig(design=design, lanes=4, stream_len=32, trials=5, seed=1)
+        experiments.run_fault_sweep([0.0, 0.05], cfg)
+        experiments.run_accuracy_sweep([design], [4], [3], cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.problems == []
+    counts = tracer.count_values()
+    assert counts["batch.encode_lane_bits"] == 2 * cfg.trials * cfg.lanes * cfg.stream_len
+    kernel = "batch.engine_steps" if design == "novel" else "batch.tree_node_updates"
+    assert counts[kernel] > 0
