@@ -27,6 +27,7 @@ oracles of the hardware, including under injected faults.
 
 import contextlib
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -124,8 +125,8 @@ def encode_tlb_products(x, y, stream_len, rng):
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.ndim < 1 or x.shape != y.shape:
         raise ValueError("x and y must have the same number of lanes")
-    k = x.shape[-1]
-    values = np.concatenate([x, y], axis=-1).reshape(-1, 2 * k)
+    k, n_pairs = x.shape[-1], math.prod(x.shape[:-1])
+    values = np.concatenate([x, y], axis=-1).reshape(n_pairs, 2 * k)
     outside = ~(np.abs(values) <= 1.0)
     if outside.any():  # raises, naming the first such value
         _check_value(values[outside][0], "two-line bipolar")
@@ -140,7 +141,7 @@ def encode_tlb_products(x, y, stream_len, rng):
     samples = np.empty(stream_len)
     signs = np.sign(values).astype(np.int8)[..., None]
     magnitudes = np.abs(values, out=values)  # in place: values is this call's own copy
-    for pair, sign, out in zip(magnitudes, signs, products.reshape(-1, k, stream_len)):
+    for pair, sign, out in zip(magnitudes, signs, products.reshape(n_pairs, k, stream_len)):
         for p, line in zip(pair, bits):
             _draw(p, next(lanes).random(out=samples), line)
         terns *= sign
@@ -160,7 +161,10 @@ def draw_fault_schedules(gens, n_bits, n_cycles, p_flip):
     uniform choice of that many distinct (cycle, bit) slots, which is
     distribution-identical and keeps the schedule small. The arrays are
     ``merge_fault_schedules`` of each trial's ``draw_fault_schedule``:
-    sorted by cycle, then trial, then bit, which one sort of one key gives.
+    sorted by cycle, then trial, then bit, which one sort of one int64 key
+    gives. A batch whose (cycle, trial, bit) slots that key cannot number
+    is a ValueError, raised before any draw; one trial's key is its flat
+    slot, so a trial alone fits whenever its slots do.
     """
     n_bits = _integer(n_bits, "storage bit count", low=0)
     n_cycles = _integer(n_cycles, "cycle count", low=0)
@@ -168,7 +172,13 @@ def draw_fault_schedules(gens, n_bits, n_cycles, p_flip):
     real = isinstance(p_flip, numbers.Real) and not isinstance(p_flip, bool)
     if not (real and 0.0 <= p_flip <= 1.0):
         raise ValueError(f"flip probability must be a real number in [0, 1], got {p_flip!r}")
+    gens = list(gens)
+    n_trials = len(gens)
     total = n_bits * n_cycles
+    if total * n_trials > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"{n_trials} trials of {n_bits} bits over {n_cycles} cycles exceed the int64 sort key"
+        )
     drawn, trials = [], []
     for trial, gen in enumerate(gens):
         count = int(gen.binomial(total, p_flip)) if p_flip > 0.0 else 0
@@ -178,12 +188,8 @@ def draw_fault_schedules(gens, n_bits, n_cycles, p_flip):
     if not drawn:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
-    n_trials = trials[-1] + 1
     trial = np.repeat(np.array(trials, dtype=np.int64), [len(d) for d in drawn])
     cycle, bit = np.divmod(np.concatenate(drawn), n_bits)
-    if total * n_trials > np.iinfo(np.int64).max:  # the key would overflow
-        order = np.lexsort((bit, trial, cycle))
-        return trial[order], cycle[order], bit[order]
     rest, bit = np.divmod(np.sort((cycle * n_trials + trial) * n_bits + bit), n_bits)
     cycle, trial = np.divmod(rest, n_trials)
     return trial, cycle, bit

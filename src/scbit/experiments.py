@@ -45,7 +45,7 @@ from .batch import (
 
 # unused here, but perfbench/tracer.py wraps them by these names
 from .batch import draw_fault_schedule, encode_sm_products, merge_fault_schedules  # noqa: F401
-from .rng import RandomSource, SeedBatch, generators
+from .rng import RandomSource, SeedBatch
 from .streams import _is_integer
 
 __all__ = [
@@ -275,7 +275,6 @@ def _simulate_trials(payload):
     sources = trial_seeds.spawn(3)
     x, y, truths = _trial_inputs(sources[:, 0], cfg.lanes, cfg.input_scale)
     products = encode_tlb_products(x, y, cfg.stream_len, sources[:, 1])
-    fault_words = sources[:, 2].words()
     n_bits = 2 * cfg.capacity if cfg.design == "novel" else (cfg.lanes - 1) * cfg.capacity
 
     results = []
@@ -284,7 +283,7 @@ def _simulate_trials(payload):
         faults = None
         if p_flip > 0.0:
             faults = draw_fault_schedules(
-                generators(fault_words), n_bits, cfg.stream_len, p_flip
+                sources[:, 2].generators(), n_bits, cfg.stream_len, p_flip
             )
         if cfg.design == "novel":
             out = engine_batch(

@@ -83,20 +83,18 @@ def _state_words(pools):
     return words.astype(np.uint64, copy=False)
 
 
-def generators(words):
-    """One numpy ``Generator`` per row of ``SeedBatch.words()``, built as it
-    is reached, so that a batch holds one generator at a time."""
-    for row in words.reshape(-1, 4):
-        yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
-
-
 class SeedBatch:
     """The seed pools of an array of sources, without their generators.
 
     ``pools`` is a (..., pool_size) uint32 array, and ``hashes`` holds each
     source's hash constant for its next mixed word. All sources spawn
     together, so one count of spawned children serves the batch. Indexing
-    selects sources, as on the leading axes of ``pools``.
+    selects sources, as on the leading axes of ``pools``, and the selection
+    starts a count of its own from the batch's: a sweep hands disjoint
+    chunks of one batch to its workers, and each chunk numbers its sources'
+    children from there. So a selection's spawns leave the batch's count
+    alone, and a source spawned from both a selection and its batch gets
+    the same children twice; spawn each source's children from one of them.
     """
 
     def __init__(self, pools, hashes, spawned=0):
@@ -149,7 +147,8 @@ class SeedBatch:
         of all lanes of a sweep holds its pools and one block of words."""
         pools = self.pools.reshape(-1, self.pools.shape[-1])
         for lo in range(0, len(pools), _WORDS_BLOCK):
-            yield from generators(_state_words(pools[lo:lo + _WORDS_BLOCK]))
+            for words in _state_words(pools[lo:lo + _WORDS_BLOCK]):
+                yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 class RandomSource:

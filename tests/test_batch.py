@@ -188,6 +188,18 @@ def test_product_encoder_batches_pairs_with_one_source_each(batch_shape):
         assert np.array_equal(products[index], want), index
 
 
+@pytest.mark.parametrize("batch_shape", [(), (3,)])
+def test_product_encoder_encodes_zero_lanes(batch_shape):
+    # K = 0 gives no lane products and spawns no child
+    sources = SeedBatch.of(np.random.SeedSequence(4))
+    if batch_shape:
+        sources = sources.spawn(*batch_shape)
+    empty = np.zeros((*batch_shape, 0))
+    products = encode_tlb_products(empty, empty, 8, sources)
+    assert products.shape == (*batch_shape, 0, 8) and products.dtype == np.int8
+    assert sources.spawned == 0
+
+
 def test_product_encoder_needs_one_source_per_pair():
     sources = SeedBatch.of(np.random.SeedSequence(2)).spawn(3)
     with pytest.raises(ValueError, match="one source per pair"):
@@ -308,7 +320,6 @@ def test_merge_fault_schedules_rejects_mismatched_arrays():
         (0, 100, 0.5),  # no storage bits
         (5, 0, 0.5),
         (3, 2000, 0.001),
-        (2**40, 2**22, 1e-15),  # 7 trials overflow the int64 sort key
     ],
 )
 def test_batched_fault_schedules_equal_merged_single_draws(n_trials, n_bits, n_cycles, p_flip):
@@ -327,6 +338,22 @@ def test_batched_fault_schedules_equal_merged_single_draws(n_trials, n_bits, n_c
         assert len(got[0]) == n_trials * n_bits * n_cycles
     if p_flip == 0.0 or n_bits * n_cycles == 0:
         assert len(got[0]) == 0
+
+
+def test_batched_fault_schedules_need_slots_the_sort_key_numbers():
+    # one trial's key is its flat slot, so 2^62 slots fit; two trials of
+    # them would overflow the int64 key and are rejected before any draw
+    n_bits, n_cycles, p_flip = 2**40, 2**22, 1e-15
+    got = draw_fault_schedules([RandomSource(3).generator], n_bits, n_cycles, p_flip)
+    want = draw_fault_schedule(RandomSource(3), n_bits, n_cycles, p_flip)
+    assert len(got[0]) > 0 and (got[0] == 0).all()
+    for a, b in zip(got[1:], want, strict=True):
+        assert np.array_equal(a, b)
+    gens = [s.generator for s in RandomSource(3).spawn(2)]
+    states = [g.bit_generator.state for g in gens]
+    with pytest.raises(ValueError, match="int64 sort key"):
+        draw_fault_schedules(gens, n_bits, n_cycles, p_flip)
+    assert [g.bit_generator.state for g in gens] == states
 
 
 def test_batched_fault_schedules_check_arguments_before_drawing():

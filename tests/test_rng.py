@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from scbit import RandomSource
-from scbit.rng import SeedBatch, generators
+from scbit.rng import SeedBatch
 
 ENTROPIES = (7, (1, 0, 16, 6, 10000), 2**32 + 5, 2**100 + 3)
 KEYS = ((), (3,), (2**32 + 1, 7), (1, 2**40, 5))
@@ -123,7 +123,7 @@ def assert_batch_matches(batch, entropy, key, pool_size=4):
     for its index in the batch: the pool, the PCG64 seed words and 1000 draws
     of the generator those words seed."""
     words = batch.words()
-    draws = [gen.random(1000) for gen in generators(words)]
+    draws = [gen.random(1000) for gen in batch.generators()]
     for n, index in enumerate(np.ndindex(batch.shape)):
         ref = np.random.SeedSequence(entropy, spawn_key=key + index, pool_size=pool_size)
         np.testing.assert_array_equal(batch.pools[index], ref.pool)
@@ -198,9 +198,27 @@ def test_seed_batch_generators_cross_word_blocks():
     # generators() derives seed words a block of sources at a time; across
     # the block borders it gives the generators of words() in C order
     batch = SeedBatch.of(np.random.SeedSequence(5)).spawn(3).spawn(1000)
-    words = batch.words()
     states = [gen.bit_generator.state for gen in batch.generators()]
-    assert states == [gen.bit_generator.state for gen in generators(words)]
-    for index in ((1, 23), (1, 24), (2, 47), (2, 48)):  # flat 1023, 1024, 2047, 2048
-        ref = np.random.SeedSequence(5, spawn_key=index).generate_state(4, np.uint64)
-        np.testing.assert_array_equal(words[index], ref)
+    assert len(states) == 3000
+    for index in ((0, 0), (1, 23), (1, 24), (2, 47), (2, 48), (2, 999)):  # flat 1023, 1024, ...
+        ref = np.random.PCG64(np.random.SeedSequence(5, spawn_key=index)).state
+        assert states[np.ravel_multi_index(index, batch.shape)] == ref, index
+
+
+def test_seed_batch_selections_count_their_own_children():
+    # a selection starts from the batch's count and spawns on its own: the
+    # sweep's workers spawn from disjoint chunks of one batch. Its spawns
+    # leave the batch's count alone, so a source spawned from both gets the
+    # same children twice
+    entropy = (1, 0, 16, 6, 10000)
+    batch = SeedBatch.of(np.random.SeedSequence(entropy)).spawn(3)
+    batch.spawn(1)
+    head, tail = batch[:2], batch[2]
+    assert head.spawned == tail.spawned == 1
+    chunks = head.spawn(2), tail.spawn(2)
+    assert batch.spawned == 1 and head.spawned == tail.spawned == 3
+    whole = np.concatenate([chunks[0].words(), chunks[1].words()[None]])
+    want = [[np.random.SeedSequence(entropy, spawn_key=(p, i)).generate_state(4, np.uint64)
+             for i in (1, 2)] for p in range(3)]
+    np.testing.assert_array_equal(whole, want)
+    np.testing.assert_array_equal(batch.spawn(2).words()[:2], chunks[0].words())

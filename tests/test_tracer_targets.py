@@ -94,10 +94,13 @@ def test_product_encoders_call_the_traced_names(monkeypatch, products, encoder):
 
 
 @pytest.mark.parametrize("design", ["novel", "baseline"])
-def test_traced_sweeps_run_every_hook(design):
+def test_traced_sweeps_run_their_hooks(design):
     # the traced benchmark wraps every target and runs its count hooks on
     # the sweeps' calls; a hook broken by a changed call would otherwise
-    # show only in a traced benchmark run
+    # show only in a traced benchmark run. The sweeps draw fault schedules
+    # through draw_fault_schedules and derive sources through SeedBatch.spawn,
+    # neither of them wrapped, so the flips and sources hooks do not run and
+    # their counts and the faults and spawn times read 0 until they are
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
@@ -111,3 +114,6 @@ def test_traced_sweeps_run_every_hook(design):
     assert counts["batch.encode_lane_bits"] == 2 * cfg.trials * cfg.lanes * cfg.stream_len
     kernel = "batch.engine_steps" if design == "novel" else "batch.tree_node_updates"
     assert counts[kernel] > 0
+    assert counts["batch.flips_drawn"] == counts["rng.sources_made"] == 0
+    metrics, _ = tracer.layer_metrics()
+    assert metrics["batch.faults_s"] == metrics["rng.spawn_s"] == 0
